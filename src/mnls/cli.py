@@ -20,12 +20,10 @@ import sys
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_ids
-from .constructor import backward_blowup_data
 from .errors import BlowupDuringConstruction, ConfigError, MnlsError, NonFiniteState
-from .harness import run_experiment
-from .lattice import make_grid
+from .harness import build_run, initial_data, resolve_config, run_experiment
+from .mgmt_map import normalized_map
 from .plotting import emit_plot
-from .propagator import BlowupPolicy
 from .runio import write_series_csv, write_snapshot
 from .sweep import ManageabilityCriterion, sweep_manageability
 
@@ -44,18 +42,10 @@ def _cmd_run(args) -> int:
     target = args.target
     if target.endswith(".json") or Path(target).is_file():
         target = _load_json(target)
-    overrides = {}
-    if args.t_end is not None:
-        overrides["t_end"] = args.t_end
-    if args.dt is not None:
-        overrides["dt_target"] = args.dt
-    if args.sample_every is not None:
-        overrides["sample_every"] = args.sample_every
-    grid_over = {}
-    if args.grid is not None:
-        grid_over["n"] = args.grid
-    if args.half_width is not None:
-        grid_over["half_width"] = args.half_width
+    given = {"t_end": args.t_end, "dt_target": args.dt, "sample_every": args.sample_every}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    grid_over = {k: v for k, v in (("n", args.grid), ("half_width", args.half_width))
+                 if v is not None}
     if grid_over:
         overrides["grid"] = grid_over
     summary = run_experiment(target, args.out, overrides or None)
@@ -67,20 +57,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    grid = make_grid(1, args.half_width, args.n)
+    # the run the constructed data is meant for: the unit map up to its blowup
+    config = resolve_config({
+        "model": {"kind": args.kind}, "map": normalized_map().to_dict(),
+        "profile": {"kind": "backward_construction", "layer_index": args.layer,
+                    "blowup_time": args.blowup_time, "omega": args.omega},
+        "grid": {"dim": 1, "half_width": args.half_width, "n": args.n},
+        "dt_target": args.dt, "t_end": args.blowup_time,
+        "policy": {"amplitude_factor": args.amplitude_factor},
+    })
+    run = build_run(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    policy = BlowupPolicy(amplitude_factor=args.amplitude_factor)
     try:
-        u0, aux_log = backward_blowup_data(
-            kind=args.kind,
-            layer_index=args.layer,
-            blowup_time=args.blowup_time,
-            grid=grid,
-            omega=args.omega,
-            dt_target=args.dt,
-            policy=policy,
-        )
+        u0, aux_log = initial_data(run, config["profile"])
     except BlowupDuringConstruction as exc:
         write_series_csv(out / "construction.csv", exc.log.samples)
         print(f"status: blowup_during_construction at t={exc.t_detect:.6g}")

@@ -74,16 +74,7 @@ def backward_blowup_data(
     )
     model = ModelSpec(kind=kind)
     rev = normalized_map().reverse(pivot)
-    log, final = evolve(
-        model,
-        rev,
-        seed,
-        t_begin=0.0,
-        t_end=pivot,
-        dt_target=dt_target,
-        sample_every=sample_every,
-        policy=policy,
-    )
+    log, final = evolve(model, rev, seed, 0.0, pivot, dt_target, sample_every, policy)
     if not log.completed:
         raise BlowupDuringConstruction(log.t_detect, log)
     u0 = ComplexField(grid, np.conj(final.values), 0.0)

@@ -18,6 +18,7 @@ difference of the sampled series isolates the solver error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ import numpy as np
 from .errors import InsufficientSamples
 from .lattice import ComplexField, spectral_gradient
 
-__all__ = ["DiagnosticsSample", "LayerResiduals", "sample_diagnostics", "virial_residuals"]
+__all__ = ["DiagnosticsSample", "LayerResiduals", "period_peaks", "sample_diagnostics",
+           "virial_residuals"]
 
 # fixed column order shared with the series.csv writer
 SERIES_COLUMNS = (
@@ -100,6 +102,19 @@ def sample_diagnostics(u: ComplexField, gamma_now: float, p: float) -> Diagnosti
         momentum=float(momentum),
         linf=float(np.sqrt(np.max(amp2))),
     )
+
+
+def period_peaks(times: np.ndarray, linf: np.ndarray, period: float,
+                 horizon: float) -> list[float]:
+    """Largest sup|u| inside each full map period (k*period, (k+1)*period]
+    that ends by `horizon`; periods that hold no sample are skipped."""
+    full = int(math.floor((horizon + 1e-12) / period))
+    peaks = []
+    for k in range(full):
+        inside = (times > k * period) & (times <= (k + 1) * period)
+        if np.any(inside):
+            peaks.append(float(np.max(linf[inside])))
+    return peaks
 
 
 def _three_point_derivative(t: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -60,3 +60,7 @@ class MissingColumn(MnlsError):
 
 class EmptySeries(MnlsError):
     """Series file holds no data rows."""
+
+
+class CorruptSnapshot(MnlsError):
+    """Field snapshot with a bad magic, an unknown version or a short payload."""

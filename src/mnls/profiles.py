@@ -25,6 +25,7 @@ __all__ = [
     "pseudo_conformal_field",
     "sech_profile_2d",
     "field_from_record",
+    "CLOSED_FORM_KINDS",
 ]
 
 
@@ -98,29 +99,39 @@ def sech_profile_2d(grid: Grid, amplitude: float, width: float) -> ComplexField:
     return ComplexField(grid, vals.astype(np.complex128), 0.0)
 
 
+# profile kinds that field_from_record evaluates in closed form
+CLOSED_FORM_KINDS = ("pseudo_conformal", "scaled_ground_state", "sech2d")
+
+
 def field_from_record(grid: Grid, record: dict, t: float = 0.0) -> ComplexField:
-    """Build initial data from a tagged profile record (config surface)."""
+    """Build initial data from a tagged profile record (config surface);
+    raises ConfigError for a malformed record or an unknown kind."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"profile must be a record, got {record!r}")
     kind = record.get("kind")
-    if kind == "pseudo_conformal":
-        return pseudo_conformal_field(
-            grid,
-            blowup_time=float(record["blowup_time"]),
-            omega=float(record.get("omega", 1.0)),
-            t=t,
-            x_shift=float(record.get("x_shift", 0.0)),
-            phase=float(record.get("phase", 0.0)),
-            conjugate=bool(record.get("conjugate", False)),
-        )
-    if kind == "scaled_ground_state":
-        return ground_state_1d(
-            grid,
-            omega=float(record.get("omega", 1.0)),
-            scale=float(record.get("scale", 1.0)),
-        )
-    if kind == "sech2d":
-        return sech_profile_2d(
-            grid,
-            amplitude=float(record["amplitude"]),
-            width=float(record["width"]),
-        )
+    try:
+        if kind == "pseudo_conformal":
+            return pseudo_conformal_field(
+                grid,
+                blowup_time=float(record["blowup_time"]),
+                omega=float(record.get("omega", 1.0)),
+                t=t,
+                x_shift=float(record.get("x_shift", 0.0)),
+                phase=float(record.get("phase", 0.0)),
+                conjugate=bool(record.get("conjugate", False)),
+            )
+        if kind == "scaled_ground_state":
+            return ground_state_1d(
+                grid,
+                omega=float(record.get("omega", 1.0)),
+                scale=float(record.get("scale", 1.0)),
+            )
+        if kind == "sech2d":
+            return sech_profile_2d(
+                grid,
+                amplitude=float(record["amplitude"]),
+                width=float(record["width"]),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind} profile {record!r}: {exc}") from exc
     raise ConfigError(f"unknown profile kind: {kind!r}")

@@ -5,7 +5,9 @@ Each layer of the management map is a constant-coefficient equation
     i u_t + a Lap(u) = b |u|^(p-1) u
 
 with (a, b) = (gamma, 1) when the Laplacian is managed ("dm") and
-(1, gamma) when the nonlinearity is ("nm").  Both substeps are exact:
+(1, gamma) when the nonlinearity is ("nm").  A step is a half nonlinear
+kick, a full linear sweep exp(-i a |k|^2 dt) in frequency space and a
+second half kick, second-order accurate in dt.  Both substeps are exact:
 the nonlinear phase leaves |u| untouched pointwise and the linear sweep
 multiplies by a unit-modulus symbol, so the grid mass is conserved to
 rounding no matter how badly resolved the run is.  Layer boundaries are
@@ -29,7 +31,7 @@ from .errors import NonFiniteState
 from .lattice import ComplexField
 from .mgmt_map import DispersionMap
 
-__all__ = ["ModelSpec", "BlowupPolicy", "TrajectoryLog", "strang_step", "evolve"]
+__all__ = ["ModelSpec", "BlowupPolicy", "TrajectoryLog", "evolve"]
 
 
 @dataclass(frozen=True)
@@ -90,19 +92,6 @@ def _nonlinear_kick(vals: np.ndarray, coeff: float, p: float) -> np.ndarray:
     else:
         nl = amp2**e
     return vals * np.exp(-1j * coeff * nl)
-
-
-def strang_step(u: ComplexField, dt: float, a: float, b: float, p: float) -> ComplexField:
-    """One symmetric split step of i u_t + a Lap(u) = b |u|^(p-1) u.
-
-    Half nonlinear kick, full linear sweep exp(-i a |k|^2 dt) in frequency
-    space, half nonlinear kick; second-order accurate in dt.
-    """
-    mult = np.exp(-1j * a * dt * u.grid.laplacian_symbol())
-    v = _nonlinear_kick(u.values, b * dt / 2.0, p)
-    v = np.fft.ifftn(mult * np.fft.fftn(v))
-    v = _nonlinear_kick(v, b * dt / 2.0, p)
-    return ComplexField(u.grid, v, u.time + dt)
 
 
 def _steps_for(length: float, dt_target: float) -> int:

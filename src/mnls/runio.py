@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import SERIES_COLUMNS
-from .errors import EmptySeries, MissingColumn
+from .errors import CorruptSnapshot, EmptySeries, MissingColumn
 from .lattice import ComplexField, make_grid
 
 __all__ = [
@@ -75,21 +75,27 @@ def write_snapshot(path: str | Path, field: ComplexField) -> None:
 
 
 def read_snapshot(path: str | Path) -> ComplexField:
+    """Load a snapshot; raises CorruptSnapshot if the file is not a whole one."""
     raw = Path(path).read_bytes()
     if raw[:4] != SNAPSHOT_MAGIC:
-        raise ValueError(f"{path}: not a field snapshot (bad magic)")
-    version, dim = struct.unpack_from("<QQ", raw, 4)
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(f"{path}: unsupported snapshot version {version}")
-    off = 20
-    ns = struct.unpack_from("<" + "Q" * dim, raw, off)
-    off += 8 * dim
-    half_width, time = struct.unpack_from("<dd", raw, off)
-    off += 16
-    grid = make_grid(dim, half_width, ns[0])
-    count = 2 * int(np.prod(ns))
-    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-    vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
+        raise CorruptSnapshot(f"{path}: not a field snapshot (bad magic)")
+    try:
+        version, dim = struct.unpack_from("<QQ", raw, 4)
+        if version != SNAPSHOT_VERSION:
+            raise CorruptSnapshot(f"{path}: unsupported snapshot version {version}")
+        if dim not in (1, 2):
+            raise CorruptSnapshot(f"{path}: unsupported snapshot dimension {dim}")
+        off = 20
+        ns = struct.unpack_from("<" + "Q" * dim, raw, off)
+        off += 8 * dim
+        half_width, time = struct.unpack_from("<dd", raw, off)
+        off += 16
+        grid = make_grid(dim, half_width, ns[0])
+        count = 2 * int(np.prod(ns))
+        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
+        vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
+    except (struct.error, ValueError) as exc:
+        raise CorruptSnapshot(f"{path}: truncated or malformed snapshot: {exc}") from exc
     return ComplexField(grid, vals, time)
 
 

@@ -4,16 +4,16 @@ A sweep runs one base configuration across a Cartesian product of map
 parameter axes and grades each cell: the run must complete, its global
 sup of sup|u| must stay below a cap, and the maximum of sup|u| within
 every full map period must stay above a floor (the pulse survives without
-collapsing or dissolving).  Cells are independent, so they are farmed out
-to a process pool; the MNLS_THREADS environment variable caps the worker
-count.  Results keep the deterministic Cartesian cell order regardless of
-completion order.
+collapsing or dissolving).  The base profile must be closed-form: a
+backward-constructed base would repeat its construction in every cell.
+Cells are independent, so they are farmed out to a process pool of at
+most `max_workers` processes.  Results keep the deterministic Cartesian
+cell order regardless of completion order.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import period_peaks
 from .errors import ConfigError, MnlsError
-from .harness import _build, resolve_config
-from .profiles import field_from_record
+from .harness import build_run, resolve_config
+from .profiles import CLOSED_FORM_KINDS, field_from_record
 from .propagator import evolve
 from .runio import atomic_write_text
 
@@ -57,40 +58,30 @@ def _apply_axis(map_dict: dict, key: str, value: float) -> dict:
     if key == "gamma":
         d["gamma_minus"] = value
         d["gamma_plus"] = value
-    elif key in _AXIS_KEYS:
-        d[key] = value
     else:
-        raise ConfigError(f"unknown sweep axis {key!r}; allowed: {_AXIS_KEYS}")
+        d[key] = value
     return d
 
 
 def _run_cell(args):
     index, config, criterion = args
     try:
-        model, disp_map, grid, policy, dt_target, t_end, sample_every = _build(config)
-        if criterion.t_end is not None:
-            t_end = float(criterion.t_end)
-        u0 = field_from_record(grid, config["profile"])
-        log, _ = evolve(model, disp_map, u0, 0.0, t_end, dt_target, sample_every, policy)
+        run = build_run(config)
+        t_end = run.t_end if criterion.t_end is None else float(criterion.t_end)
+        u0 = field_from_record(run.grid, config["profile"])
+        log, _ = evolve(run.model, run.disp_map, u0, 0.0, t_end, run.dt_target,
+                        run.sample_every, run.policy)
         ts = np.array([s.t for s in log.samples])
         linf = np.array([s.linf for s in log.samples])
         sup = float(np.max(linf))
-        period = disp_map.period
-        full = int(math.floor((t_end + 1e-12) / period))
-        peaks = []
-        for k in range(full):
-            inside = (ts > k * period) & (ts <= (k + 1) * period)
-            if np.any(inside):
-                peaks.append(float(np.max(linf[inside])))
+        peaks = period_peaks(ts, linf, run.disp_map.period, t_end)
         min_peak = min(peaks) if peaks else float("nan")
-        status = log.status
-        ok = verdict(status, sup, min_peak, criterion)
         return index, {
-            "status": status,
+            "status": log.status,
             "sup_linf": sup,
             "min_period_peak": min_peak,
             "periods": len(peaks),
-            "manageable": ok,
+            "manageable": verdict(log.status, sup, min_peak, criterion),
             "error": "",
         }
     except MnlsError as exc:
@@ -118,6 +109,10 @@ def sweep_manageability(
     per-period peak, and the manageable verdict.
     """
     base = resolve_config(base_config)
+    profile = base["profile"]
+    if not (isinstance(profile, dict) and profile.get("kind") in CLOSED_FORM_KINDS):
+        raise ConfigError(f"sweep needs a closed-form base profile {CLOSED_FORM_KINDS}, "
+                          f"got {profile!r}")
     for key in axes:
         if key not in _AXIS_KEYS:
             raise ConfigError(f"unknown sweep axis {key!r}; allowed: {_AXIS_KEYS}")
@@ -135,8 +130,7 @@ def sweep_manageability(
         jobs.append((index, cfg, criterion))
 
     if max_workers is None:
-        env = os.environ.get("MNLS_THREADS", "")
-        max_workers = int(env) if env.isdigit() and int(env) > 0 else (os.cpu_count() or 1)
+        max_workers = os.cpu_count() or 1
     max_workers = max(1, min(max_workers, len(jobs)))
 
     results: list[dict | None] = [None] * len(jobs)

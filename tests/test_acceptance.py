@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mnls.diagnostics import sample_diagnostics, virial_residuals
+from mnls.diagnostics import period_peaks, sample_diagnostics, virial_residuals
 from mnls.harness import run_experiment
 from mnls.lattice import make_grid
 from mnls.mgmt_map import normalized_map
@@ -40,17 +40,6 @@ def _series(summary) -> dict[str, np.ndarray]:
 def _events(summary) -> list[dict]:
     text = (Path(summary["out_dir"]) / "events.jsonl").read_text()
     return [json.loads(ln) for ln in text.splitlines() if ln.strip()]
-
-
-def _period_peaks(ts: np.ndarray, linf: np.ndarray, period: float) -> list[float]:
-    peaks = []
-    k = 0
-    while (k + 1) * period <= ts[-1] + 1e-9:
-        inside = (ts > k * period) & (ts <= (k + 1) * period + 1e-12)
-        if np.any(inside):
-            peaks.append(float(np.max(linf[inside])))
-        k += 1
-    return peaks
 
 
 def test_criterion_01_reference_profile_quartet(criteria_board):
@@ -151,7 +140,7 @@ def test_criterion_05_dm_global_bounded_oscillation(criteria_board, catalog_run)
     summary = catalog_run("dm-global-T1.5")
     cols = _series(summary)
     ts, linf = cols["t"], cols["linf"]
-    peaks = _period_peaks(ts, linf, period=2.0)
+    peaks = period_peaks(ts, linf, 2.0, horizon=ts[-1])
     ratio = max(peaks) / min(peaks)
     sup = float(np.max(linf))
     ok = summary["status"] == "completed" and len(peaks) == 15 and ratio <= 5.0
@@ -167,7 +156,7 @@ def test_criterion_05_dm_global_bounded_oscillation(criteria_board, catalog_run)
 def test_criterion_06_nm_global_decaying_peaks(criteria_board, catalog_run):
     summary = catalog_run("nm-global-T1.5")
     cols = _series(summary)
-    peaks = _period_peaks(cols["t"], cols["linf"], period=2.0)
+    peaks = period_peaks(cols["t"], cols["linf"], 2.0, horizon=cols["t"][-1])
     increases = [b / a for a, b in zip(peaks, peaks[1:])]
     worst = max(increases)
     ok = (

@@ -6,11 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from mnls.errors import ConfigError, EmptySeries, MissingColumn
-from mnls.harness import resolve_config, run_experiment
+from mnls.errors import ConfigError, CorruptSnapshot, EmptySeries, MissingColumn, MnlsError
+from mnls.harness import build_run, resolve_config, run_experiment
 from mnls.lattice import ComplexField, make_grid
 from mnls.plotting import emit_plot
 from mnls.profiles import ground_state_1d
+from mnls.propagator import BlowupPolicy
 from mnls.runio import (
     SNAPSHOT_MAGIC,
     read_series_csv,
@@ -168,6 +169,19 @@ def test_catalog_entries_all_resolve_and_build():
         assert cfg["t_end"] > 0
         assert cfg["policy"]["amplitude_factor"] > 1.0
         assert "expected" in cfg and "status" in cfg["expected"]
+        run = build_run(cfg)
+        assert run.model.kind == cfg["model"]["kind"]
+        assert run.grid.dim == cfg["grid"]["dim"] and run.grid.n == cfg["grid"]["n"]
+        assert run.policy.amplitude_factor == cfg["policy"]["amplitude_factor"]
+        assert (run.dt_target, run.t_end) == (cfg["dt_target"], cfg["t_end"])
+
+
+def test_build_run_policy_defaults_and_unknown_keys():
+    run = build_run(resolve_config(_tiny_config(policy={"amplitude_factor": 6.5})))
+    assert run.policy == BlowupPolicy(amplitude_factor=6.5)
+    for policy in ({"amplitude_factr": 6.5}, {"mass_drift_tol": "tight"}, [6.5]):
+        with pytest.raises(ConfigError):
+            build_run(resolve_config(_tiny_config(policy=policy)))
 
 
 def test_snapshot_round_trip_1d(tmp_path):
@@ -198,14 +212,23 @@ def test_snapshot_round_trip_2d(tmp_path):
 def test_snapshot_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.mnls"
     path.write_bytes(b"XXXX" + b"\x00" * 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(CorruptSnapshot):
         read_snapshot(path)
 
 
 def test_snapshot_rejects_unknown_version(tmp_path):
     path = tmp_path / "v2.mnls"
     path.write_bytes(SNAPSHOT_MAGIC + struct.pack("<QQ", 2, 1) + b"\x00" * 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(CorruptSnapshot):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("keep", [-10, 12], ids=["cut-10-bytes", "12-byte-file"])
+def test_snapshot_rejects_truncated_file(tmp_path, keep):
+    path = tmp_path / "cut.mnls"
+    write_snapshot(path, ground_state_1d(make_grid(1, half_width=5.0, n=64)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(MnlsError):
         read_snapshot(path)
 
 

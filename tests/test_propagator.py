@@ -7,7 +7,7 @@ from mnls.errors import NonFiniteState
 from mnls.lattice import ComplexField, make_grid
 from mnls.mgmt_map import DispersionMap, normalized_map
 from mnls.profiles import ground_state_1d, pseudo_conformal_field
-from mnls.propagator import BlowupPolicy, ModelSpec, evolve, strang_step
+from mnls.propagator import BlowupPolicy, ModelSpec, evolve
 
 
 def test_model_spec_validation():
@@ -22,28 +22,43 @@ def test_model_spec_validation():
     assert ModelSpec("nm").layer_coefficients(-1.0) == (1.0, -1.0)
 
 
+def _one_step(kind, gamma, u, dt):
+    """A single Strang step of evolve inside a first layer of value -gamma."""
+    disp = DispersionMap(gamma_minus=gamma, gamma_plus=1.0, t_star=1.0, t_period=2.0)
+    log, out = evolve(ModelSpec(kind), disp, u, 0.0, dt, dt)
+    assert log.completed and log.layer_steps[0]["steps"] == 1
+    return out
+
+
 def test_strang_step_pure_linear_phase():
-    """With b = 0 a plane wave e^{ikx} just picks up exp(-i a k^2 dt)."""
+    """|u| = 1 makes the kick a uniform phase, so a plane wave e^{ikx} picks
+    up exactly exp(-i (a k^2 + b) dt) for any layer coefficients (a, b)."""
     g = make_grid(1, half_width=np.pi, n=64)
     x = g.axis_coords()
     u = ComplexField(g, np.exp(1j * x), 0.0)
     dt = 0.37
-    out = strang_step(u, dt, a=1.0, b=0.0, p=5.0)
-    expect = np.exp(-1j * dt) * np.exp(1j * x)
-    assert np.max(np.abs(out.values - expect)) < 1e-13
-    assert out.time == dt
+    for kind in ("dm", "nm"):
+        for gamma in (0.4, 2.5):
+            a, b = ModelSpec(kind).layer_coefficients(-gamma)
+            out = _one_step(kind, gamma, u, dt)
+            expect = np.exp(-1j * (a + b) * dt) * np.exp(1j * x)
+            assert np.max(np.abs(out.values - expect)) < 1e-13
+            assert out.time == dt
 
 
 def test_strang_step_pure_nonlinear_phase():
-    """With a = 0 a constant field rotates by exp(-i b |A|^(p-1) dt)."""
+    """The linear sweep leaves a constant field alone, so it rotates by
+    exactly exp(-i b |A|^(p-1) dt) for any layer coefficients (a, b)."""
     g = make_grid(1, half_width=np.pi, n=32)
     amp = 0.8 + 0.3j
     u = ComplexField(g, np.full(g.shape, amp), 0.0)
     dt = 0.21
-    for b in (1.0, -1.0):
-        out = strang_step(u, dt, a=0.0, b=b, p=5.0)
-        expect = amp * np.exp(-1j * b * abs(amp) ** 4 * dt)
-        assert np.max(np.abs(out.values - expect)) < 1e-14
+    for kind in ("dm", "nm"):
+        for gamma in (0.4, 2.5):
+            _, b = ModelSpec(kind).layer_coefficients(-gamma)
+            out = _one_step(kind, gamma, u, dt)
+            expect = amp * np.exp(-1j * b * abs(amp) ** 4 * dt)
+            assert np.max(np.abs(out.values - expect)) < 1e-14
 
 
 def test_strang_step_conserves_mass_per_step():
@@ -51,8 +66,8 @@ def test_strang_step_conserves_mass_per_step():
     u = pseudo_conformal_field(g, blowup_time=1.5)
     m0 = u.mass()
     for _ in range(50):
-        u = strang_step(u, 1e-3, a=-1.0, b=1.0, p=5.0)
-    assert abs(u.mass() - m0) / m0 < 1e-13
+        u = _one_step("dm", 1.0, ComplexField(g, u.values, 0.0), 1e-3)
+        assert abs(u.mass() - m0) / m0 < 1e-13
 
 
 @pytest.fixture(scope="module")

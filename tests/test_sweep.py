@@ -132,7 +132,13 @@ def test_sweep_t_end_override():
     assert not rows[0]["manageable"]
 
 
-def test_mnls_threads_env_is_respected(monkeypatch):
-    monkeypatch.setenv("MNLS_THREADS", "1")
-    rows = sweep_manageability(_base_config(), {"gamma": [1.0]}, _crit())
-    assert rows[0]["status"] == "completed"
+def test_sweep_rejects_constructed_base(monkeypatch):
+    """A backward-constructed base is refused before any cell runs."""
+    import mnls.sweep
+
+    def no_cell(job):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(mnls.sweep, "_run_cell", no_cell)
+    with pytest.raises(ConfigError, match="closed-form"):
+        sweep_manageability("nm-blowup-T2.5", {"gamma": [1.0]}, _crit(), max_workers=1)
