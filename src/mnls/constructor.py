@@ -35,7 +35,7 @@ __all__ = ["backward_blowup_data"]
 
 
 def backward_blowup_data(
-    kind: str,
+    model: ModelSpec,
     layer_index: int,
     blowup_time: float,
     grid: Grid,
@@ -47,7 +47,8 @@ def backward_blowup_data(
     """Construct u0 whose forward evolution concentrates at blowup_time.
 
     Args:
-        kind: "nm" or "dm", the model the data is meant for.
+        model: the model the data is meant for; the auxiliary run evolves
+            the same kind and power.
         layer_index: n >= 1, the focusing layer (2n, 2n+1] targeted.
         blowup_time: T*, must exceed 2n; T* > 2n+1 gives revival data.
         grid: 1D lattice for the construction.
@@ -70,9 +71,8 @@ def backward_blowup_data(
         blowup_time=blowup_time - pivot,
         omega=omega,
         t=0.0,
-        conjugate=(kind == "dm"),
+        conjugate=(model.kind == "dm"),
     )
-    model = ModelSpec(kind=kind)
     rev = normalized_map().reverse(pivot)
     log, final = evolve(model, rev, seed, 0.0, pivot, dt_target, sample_every, policy)
     if not log.completed:

@@ -107,7 +107,7 @@ def initial_data(run: RunSpec, profile: dict) -> tuple[ComplexField, TrajectoryL
         return field_from_record(run.grid, profile), None
     try:
         return backward_blowup_data(
-            kind=run.model.kind,
+            model=run.model,
             layer_index=int(profile["layer_index"]),
             blowup_time=float(profile["blowup_time"]),
             grid=run.grid,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyWindow, NegativeTime
+from .errors import ConfigError, EmptyWindow, NegativeTime
 
 __all__ = ["DispersionMap", "normalized_map", "Layer"]
 
@@ -147,6 +147,13 @@ class DispersionMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DispersionMap":
+        """Build a map from its config record; raises ConfigError for an
+        unknown key, so a misspelled parameter cannot fall back to a default."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"map must be a record, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown map keys: {unknown}")
         return cls(
             gamma_minus=float(d.get("gamma_minus", 1.0)),
             gamma_plus=float(d.get("gamma_plus", 1.0)),

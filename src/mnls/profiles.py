@@ -132,6 +132,6 @@ def field_from_record(grid: Grid, record: dict, t: float = 0.0) -> ComplexField:
                 amplitude=float(record["amplitude"]),
                 width=float(record["width"]),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, TimePastBlowup) as exc:
         raise ConfigError(f"bad {kind} profile {record!r}: {exc}") from exc
     raise ConfigError(f"unknown profile kind: {kind!r}")

@@ -7,16 +7,31 @@ Each layer of the management map is a constant-coefficient equation
 with (a, b) = (gamma, 1) when the Laplacian is managed ("dm") and
 (1, gamma) when the nonlinearity is ("nm").  A step is a half nonlinear
 kick, a full linear sweep exp(-i a |k|^2 dt) in frequency space and a
-second half kick, second-order accurate in dt.  Both substeps are exact:
-the nonlinear phase leaves |u| untouched pointwise and the linear sweep
-multiplies by a unit-modulus symbol, so the grid mass is conserved to
-rounding no matter how badly resolved the run is.  Layer boundaries are
-never straddled; each layer gets its own uniform step dividing its length.
+second half kick, second-order accurate in dt (Weideman & Herbst, SIAM J.
+Numer. Anal. 23, 1986).  Both substeps are exact: the nonlinear phase
+leaves |u| untouched pointwise and the linear sweep multiplies by a
+unit-modulus symbol, so the grid mass is conserved to rounding no matter
+how badly resolved the run is.  Layer boundaries are never straddled;
+each layer gets its own uniform step dividing its length.
+
+The stepping is fused and buffered.  Each run owns three field-sized
+buffers: the complex marching field, a complex phase factor and one real
+array that holds |u|^2 and then the kick exponent |u|^(p-1).  The sweep
+runs in place (forward FFT, multiply by the layer symbol, inverse FFT),
+and the |u|^2 taken right after it serves both the amplitude check and
+the next kick, since a kick is a pure phase rotation.  The trailing
+half-kick of one step and the leading half-kick of the next are applied
+as one full kick; they are split only at sample times and layer ends,
+where the state must be the full-step one.  The layer symbol is rebuilt
+once per layer.
 
 Blowup is a detection outcome, not an exception.  The amplitude cap is
 checked after every step (a single step from a capped state cannot reach
 non-finite values, which keeps the NonFiniteState guard meaningful); the
-mass-drift monitor runs at sample times.
+mass-drift monitor runs at sample times.  The last stable state is not
+kept: on a halt it is rebuilt from the violating candidate by an inverse
+sweep and a backward half-kick, which is exact to rounding because the
+sweep is unitary and the kick keeps |u|.
 """
 
 from __future__ import annotations
@@ -64,6 +79,13 @@ class BlowupPolicy:
     mass_drift_tol: float = 1.0e-4  # relative, against the initial mass
     amplitude_ceiling: float = 1.0e9  # absolute cap, independent of data
 
+    def __post_init__(self):
+        # a NaN threshold would make every comparison false and switch detection off
+        for name in ("amplitude_factor", "mass_drift_tol", "amplitude_ceiling"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"policy {name} must be positive and finite, got {value!r}")
+
     def cap_for(self, linf0: float) -> float:
         return min(self.amplitude_factor * linf0, self.amplitude_ceiling)
 
@@ -81,17 +103,66 @@ class TrajectoryLog:
         return self.status == "completed"
 
 
-def _nonlinear_kick(vals: np.ndarray, coeff: float, p: float) -> np.ndarray:
-    """Exact flow of i u_t = b |u|^(p-1) u over b*tau = coeff."""
-    amp2 = vals.real**2 + vals.imag**2
-    e = 0.5 * (p - 1.0)
-    if e == 1.0:
-        nl = amp2
-    elif e == 2.0:
-        nl = amp2 * amp2
-    else:
-        nl = amp2**e
-    return vals * np.exp(-1j * coeff * nl)
+class _Stepper:
+    """The three run-lifetime buffers of one evolve call and the substeps on them.
+
+    ``u`` is the marching field, ``phase`` the kick factor, and ``nl`` the
+    kick exponent |u|^(p-1) of the last `modulus` call.  Every substep works
+    in place, so a step allocates nothing of the field's size beyond one
+    real temporary.
+    """
+
+    def __init__(self, values: np.ndarray, p: float):
+        self.u = np.array(values, dtype=np.complex128)  # a copy: u0 stays untouched
+        self.phase = np.empty_like(self.u)
+        self.nl = np.empty(self.u.shape)
+        self.e = 0.5 * (p - 1.0)
+
+    def modulus(self) -> float:
+        """Return max |u|^2 and leave the kick exponent |u|^(p-1) in nl."""
+        u, nl = self.u, self.nl
+        np.multiply(u.real, u.real, out=nl)
+        nl += u.imag * u.imag
+        m2 = float(nl.max())
+        if self.e == 2.0:
+            np.multiply(nl, nl, out=nl)
+        elif self.e != 1.0:
+            np.power(nl, self.e, out=nl)
+        return m2
+
+    def kick(self, coeff: float) -> None:
+        """Exact flow of i u_t = b |u|^(p-1) u over b*tau = coeff; leaves |u| alone.
+
+        The factor exp(-i coeff |u|^(p-1)) is built as cos + i sin in the
+        phase buffer's own real and imaginary parts, which is cheaper than
+        numpy's complex exp and agrees with it to rounding.
+        """
+        arg = self.phase.imag
+        np.multiply(self.nl, -coeff, out=arg)
+        np.cos(arg, out=self.phase.real)
+        np.sin(arg, out=arg)
+        self.u *= self.phase
+
+    def sweep(self, mult: np.ndarray) -> None:
+        """Linear flow: multiply by the layer's symbol in frequency space."""
+        u = self.u
+        np.fft.fftn(u, out=u)
+        u *= mult
+        np.fft.ifftn(u, out=u)
+
+    def unstep(self, mult: np.ndarray, half: float) -> np.ndarray:
+        """Rebuild the state a step started from out of its post-sweep state.
+
+        The sweep is unitary and the kick keeps |u|, so an inverse sweep and
+        a backward half-kick recover it to rounding.
+        """
+        u = self.u
+        np.fft.fftn(u, out=u)
+        u /= mult
+        np.fft.ifftn(u, out=u)
+        self.modulus()
+        self.kick(-half)
+        return u
 
 
 def _steps_for(length: float, dt_target: float) -> int:
@@ -133,13 +204,15 @@ def evolve(
     lap = grid.laplacian_symbol()
 
     log = TrajectoryLog()
-    u = np.asarray(u0.values, dtype=np.complex128)
-    linf0 = float(np.sqrt(np.max(u.real**2 + u.imag**2)))
-    cap = policy.cap_for(linf0)
-    first = sample_diagnostics(ComplexField(grid, u, t_begin), layers[0].gamma, p)
+    st = _Stepper(u0.values, p)
+    cap = policy.cap_for(math.sqrt(st.modulus()))
+    first = sample_diagnostics(ComplexField(grid, st.u, t_begin), layers[0].gamma, p)
     mass0 = first.mass
     log.samples.append(first)
 
+    # The trailing half-kick of a step and the leading half-kick of the next
+    # are one full kick, split only where st.u must be a full-step state: at
+    # samples and layer ends.  st.nl holds the exponent of the current |u|.
     t_prev = t_begin
     for li, layer in enumerate(layers):
         a, b = model.layer_coefficients(layer.gamma)
@@ -156,43 +229,50 @@ def evolve(
         )
         mult = np.exp(-1j * a * dt * lap)
         half = b * dt / 2.0
+        st.kick(half)
         for s in range(1, steps + 1):
-            # checks run on the candidate state v; u stays the last stable one
-            v = _nonlinear_kick(u, half, p)
-            v = np.fft.ifftn(mult * np.fft.fftn(v))
-            v = _nonlinear_kick(v, half, p)
+            st.sweep(mult)
             t_new = layer.t_end if s == steps else layer.t_begin + s * dt
-            m2 = float(np.max(v.real**2 + v.imag**2))
-            if not np.isfinite(m2):
+            # the trailing kick is a pure phase: this is the candidate's modulus
+            m2 = st.modulus()
+            if not math.isfinite(m2):
                 raise NonFiniteState(
                     f"non-finite state at t={t_new:.9g} without a policy trigger"
                 )
             if m2 > cap * cap:
+                u = st.unstep(mult, half)
                 return _halt(log, grid, u, t_prev, layer.gamma, p, "amplitude", math.sqrt(m2), t_new)
-            if s == steps or s % sample_every == 0:
-                smp = sample_diagnostics(ComplexField(grid, v, t_new), layer.gamma, p)
-                drift = abs(smp.mass - mass0) / mass0
-                if drift > policy.mass_drift_tol:
-                    return _halt(log, grid, u, t_prev, layer.gamma, p, "mass_drift", drift, t_new)
-                log.samples.append(smp)
-                if s == steps and li + 1 < len(layers):
-                    gamma_in = layers[li + 1].gamma
-                    log.events.append(
-                        {
-                            "type": "layer_switch",
-                            "t": t_new,
-                            "gamma_before": layer.gamma,
-                            "gamma_after": gamma_in,
-                            "energy_before": smp.energy,
-                            "energy_after": 0.5 * smp.kinetic
-                            + gamma_in / (p + 1.0) * smp.potential,
-                            "potential": smp.potential,
-                            "mass": smp.mass,
-                        }
-                    )
-            u = v
+            if s < steps and s % sample_every:
+                st.kick(2.0 * half)
+                t_prev = t_new
+                continue
+            st.kick(half)
+            smp = sample_diagnostics(ComplexField(grid, st.u, t_new), layer.gamma, p)
+            drift = abs(smp.mass - mass0) / mass0
+            if drift > policy.mass_drift_tol:
+                st.kick(-half)
+                u = st.unstep(mult, half)
+                return _halt(log, grid, u, t_prev, layer.gamma, p, "mass_drift", drift, t_new)
+            log.samples.append(smp)
+            if s < steps:
+                st.u *= st.phase  # the next leading half-kick: same modulus, same phase
+            elif li + 1 < len(layers):
+                gamma_in = layers[li + 1].gamma
+                log.events.append(
+                    {
+                        "type": "layer_switch",
+                        "t": t_new,
+                        "gamma_before": layer.gamma,
+                        "gamma_after": gamma_in,
+                        "energy_before": smp.energy,
+                        "energy_after": 0.5 * smp.kinetic
+                        + gamma_in / (p + 1.0) * smp.potential,
+                        "potential": smp.potential,
+                        "mass": smp.mass,
+                    }
+                )
             t_prev = t_new
-    return log, ComplexField(grid, u, t_end)
+    return log, ComplexField(grid, st.u, t_end)
 
 
 def _halt(log, grid, u_stable, t_stable, gamma, p, reason, value, t_violation):

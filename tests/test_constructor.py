@@ -24,7 +24,7 @@ def grid1d():
 
 @pytest.fixture(scope="module")
 def nm_construction(grid1d):
-    return backward_blowup_data("nm", 1, 2.5, grid1d, dt_target=5e-4, sample_every=10)
+    return backward_blowup_data(ModelSpec("nm"), 1, 2.5, grid1d, dt_target=5e-4, sample_every=10)
 
 
 def test_constructed_data_is_stamped_at_zero(nm_construction):
@@ -73,7 +73,7 @@ def test_dm_construction_trips_before_reaching_zero(grid1d):
     unwinding; the attempt must end in a detection, not a seed."""
     with pytest.raises(BlowupDuringConstruction) as exc:
         backward_blowup_data(
-            "dm",
+            ModelSpec("dm"),
             1,
             2.5,
             grid1d,
@@ -90,11 +90,11 @@ def test_dm_construction_trips_before_reaching_zero(grid1d):
 @pytest.mark.parametrize("layer_index", [0, -1])
 def test_rejects_nonpositive_layer_index(grid1d, layer_index):
     with pytest.raises(ValueError):
-        backward_blowup_data("nm", layer_index, 2.5, grid1d)
+        backward_blowup_data(ModelSpec("nm"), layer_index, 2.5, grid1d)
 
 
 @pytest.mark.parametrize("blowup_time", [2.0, 1.5])
 def test_rejects_blowup_time_inside_the_backward_window(grid1d, blowup_time):
     """T must lie strictly past t = 2n or the seed profile is meaningless."""
     with pytest.raises(ValueError):
-        backward_blowup_data("nm", 1, blowup_time, grid1d)
+        backward_blowup_data(ModelSpec("nm"), 1, blowup_time, grid1d)

@@ -6,12 +6,14 @@ import struct
 import numpy as np
 import pytest
 
-from mnls.errors import ConfigError, CorruptSnapshot, EmptySeries, MissingColumn, MnlsError
-from mnls.harness import build_run, resolve_config, run_experiment
+import mnls.constructor
+from mnls.errors import (BlowupDuringConstruction, ConfigError, CorruptSnapshot, EmptySeries,
+                         MissingColumn, MnlsError)
+from mnls.harness import build_run, initial_data, resolve_config, run_experiment
 from mnls.lattice import ComplexField, make_grid
 from mnls.plotting import emit_plot
 from mnls.profiles import ground_state_1d
-from mnls.propagator import BlowupPolicy
+from mnls.propagator import BlowupPolicy, ModelSpec, evolve
 from mnls.runio import (
     SNAPSHOT_MAGIC,
     read_series_csv,
@@ -179,9 +181,32 @@ def test_catalog_entries_all_resolve_and_build():
 def test_build_run_policy_defaults_and_unknown_keys():
     run = build_run(resolve_config(_tiny_config(policy={"amplitude_factor": 6.5})))
     assert run.policy == BlowupPolicy(amplitude_factor=6.5)
-    for policy in ({"amplitude_factr": 6.5}, {"mass_drift_tol": "tight"}, [6.5]):
+    for policy in ({"amplitude_factr": 6.5}, {"mass_drift_tol": "tight"}, [6.5],
+                   {"amplitude_factor": float("nan")}, {"amplitude_ceiling": float("inf")},
+                   {"mass_drift_tol": 0.0}, {"amplitude_factor": -2.0}):
         with pytest.raises(ConfigError):
             build_run(resolve_config(_tiny_config(policy=policy)))
+
+
+def test_backward_construction_evolves_the_run_model(monkeypatch):
+    """The auxiliary run must march the same power p as the forward run."""
+    seen = []
+
+    def recording_evolve(model, *args, **kwargs):
+        seen.append(model)
+        return evolve(model, *args, **kwargs)
+
+    monkeypatch.setattr(mnls.constructor, "evolve", recording_evolve)
+    cfg = resolve_config(_tiny_config(
+        model={"kind": "nm", "p": 3},
+        profile={"kind": "backward_construction", "layer_index": 1, "blowup_time": 2.5},
+    ))
+    run = build_run(cfg)
+    try:
+        initial_data(run, cfg["profile"])
+    except BlowupDuringConstruction:
+        pass
+    assert seen == [ModelSpec("nm", p=3.0)]
 
 
 def test_snapshot_round_trip_1d(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mnls.errors import EmptyWindow, NegativeTime
+from mnls.errors import ConfigError, EmptyWindow, NegativeTime
 from mnls.mgmt_map import DispersionMap, normalized_map
 
 
@@ -136,3 +136,10 @@ def test_dict_round_trip():
     assert DispersionMap.from_dict(m.to_dict()) == m
     r = m.reverse(3.0)
     assert DispersionMap.from_dict(r.to_dict()) == r
+
+
+@pytest.mark.parametrize("record", [{"gamma_minu": 3.0}, {"t_star": 1.0, "period": 2.0}])
+def test_from_dict_rejects_unknown_keys(record):
+    """A misspelled parameter must not silently run the default map."""
+    with pytest.raises(ConfigError):
+        DispersionMap.from_dict(record)

@@ -137,6 +137,12 @@ def test_field_from_record_unknown_kind(grid1d):
         field_from_record(grid1d, {})
 
 
+@pytest.mark.parametrize("blowup_time", [0.0, -1.5, float("nan")])
+def test_field_from_record_rejects_blowup_time_not_ahead(grid1d, blowup_time):
+    with pytest.raises(ConfigError):
+        field_from_record(grid1d, {"kind": "pseudo_conformal", "blowup_time": blowup_time})
+
+
 def test_curve_decays():
     y = np.linspace(0.0, 8.0, 9)
     q = ground_state_curve(y)

@@ -231,6 +231,8 @@ def test_mass_drift_policy_trips(grid1d):
     ev = [e for e in log.events if e["type"] == "blowup"][0]
     assert ev["reason"] == "mass_drift"
     assert final.time == log.t_detect
+    ref = _march_to(ModelSpec("dm"), normalized_map(), u0, log.t_detect, 1e-3)
+    assert np.max(np.abs(final.values - ref.values)) <= 1e-12 * u0.linf()
 
 
 def test_evolve_rejects_bad_arguments(grid1d):
@@ -249,3 +251,55 @@ def test_sampling_cadence(grid1d):
     )
     ts = [s.t for s in log.samples]
     assert ts == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("kind", ["dm", "nm"])
+@pytest.mark.parametrize("p", [None, 3.0, 2.5])
+def test_fused_kicks_change_no_result(kind, p):
+    """Between samples the trailing and leading half-kicks are applied as one
+    full kick; sparse sampling must match sampling every step to rounding on
+    every common sample and on the final field (p = 5, 3 and 2.5 take the
+    square, identity and general-power exponent paths)."""
+    g = make_grid(1, half_width=12 * np.pi, n=256)
+    u0 = pseudo_conformal_field(g, blowup_time=1.5)
+    disp = DispersionMap(epsilon=0.3)  # layers of length 0.3: five switches
+    policy = BlowupPolicy(amplitude_factor=50.0)
+    (dense, f1), (sparse, f7) = (
+        evolve(ModelSpec(kind, p), disp, u0, 0.0, 1.6, 1e-2, sample_every=k, policy=policy)
+        for k in (1, 7)
+    )
+    assert dense.completed and sparse.completed
+    assert len(sparse.samples) < len(dense.samples)
+    rows = {s.t: np.array(s.as_row()) for s in dense.samples}
+    for s in sparse.samples:
+        ref = rows[s.t]
+        assert np.all(np.abs(np.array(s.as_row()) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+    assert np.max(np.abs(f7.values - f1.values)) <= 1e-12 * np.max(np.abs(f1.values))
+
+
+def _march_to(model, disp, u0, t, dt):
+    """The state at time t of an uncapped run from u0 (u0 itself at t = 0)."""
+    if t == 0.0:
+        return u0
+    return evolve(model, disp, u0, 0.0, t, dt, sample_every=10**9)[1]
+
+
+def test_halt_inside_a_fused_stretch_returns_the_last_stable_state(grid1d):
+    """A trip between samples rebuilds the last stable state from the
+    violating candidate; it must match the densely sampled run and an
+    uncapped march to t_detect, never the discarded candidate."""
+    u0 = pseudo_conformal_field(grid1d, blowup_time=0.5)
+    focusing = DispersionMap(t_star=1e6, t_period=2e6)
+    model, dt = ModelSpec("dm"), 5e-4
+    policy = BlowupPolicy(amplitude_factor=2.3)
+    dense_log, dense = evolve(model, focusing, u0, 0.0, 1.0, dt, sample_every=1, policy=policy)
+    log, final = evolve(model, focusing, u0, 0.0, 1.0, dt, sample_every=9, policy=policy)
+    trip = [e for e in log.events if e["type"] == "blowup"][0]
+    step = round(trip["t_violation"] / dt)
+    assert step % 9 and (step - 1) % 9  # neither the trip nor the step before is sampled
+    assert log.t_detect == dense_log.t_detect
+    # 742 steps toward collapse amplify rounding: 1.5e-12 relative measured
+    scale = np.max(np.abs(dense.values))
+    assert np.max(np.abs(final.values - dense.values)) <= 1e-11 * scale
+    ref = _march_to(model, focusing, u0, log.t_detect, dt)
+    assert np.max(np.abs(final.values - ref.values)) <= 1e-10 * scale

@@ -148,6 +148,7 @@ _bad_map = st.one_of(
               st.sampled_from(["gamma_minus", "gamma_plus", "epsilon"]),
               st.one_of(_words, _not_positive)),
     st.builds(lambda ts: _with(VALID["map"], "t_star", ts), st.floats(min_value=2.0)),
+    st.builds(lambda k: _with(VALID["map"], k, 1.0), _words.filter(lambda k: k not in VALID["map"])),
 )
 _bad_grid = st.one_of(
     _not_a_record,
@@ -164,7 +165,8 @@ _bad_profile = st.one_of(
         "pseudo_conformal", "scaled_ground_state", "sech2d", "backward_construction"))),
     st.builds(lambda t, w: {"kind": "pseudo_conformal", "blowup_time": t, "omega": w},
               st.floats(0.1, 10.0), st.one_of(_words, _not_positive)),
-    st.builds(lambda t: {"kind": "pseudo_conformal", "blowup_time": t}, _not_a_number),
+    st.builds(lambda t: {"kind": "pseudo_conformal", "blowup_time": t},
+              st.one_of(_not_a_number, _not_positive)),
     st.builds(lambda w: {"kind": "scaled_ground_state", "omega": w},
               st.one_of(_words, _not_positive)),
     st.builds(lambda key: _with({"kind": "sech2d", "amplitude": 1.0, "width": 1.0}, key, _DROP),
@@ -184,7 +186,7 @@ _bad_policy = st.one_of(
         "amplitude_factor", "mass_drift_tol", "amplitude_ceiling"))),
     st.builds(lambda k, v: {k: v},
               st.sampled_from(["amplitude_factor", "mass_drift_tol", "amplitude_ceiling"]),
-              _not_a_number),
+              _bad_time),
 )
 _mutations = st.one_of(
     st.tuples(st.sampled_from(["model", "map", "profile", "grid", "dt_target", "t_end"]),
@@ -224,6 +226,9 @@ def test_valid_config_runs():
 @example(("profile", {"kind": "pseudo_conformal", "blowup_time": 1.5, "omega": -1}))
 @example(("profile", "oops"))
 @example(("policy", {"amplitude_factr": 6.5}))
+@example(("policy", {"amplitude_factor": math.nan}))
+@example(("map", {**VALID["map"], "gamma_minu": 3.0}))
+@example(("profile", {"kind": "pseudo_conformal", "blowup_time": 0.0}))
 def test_malformed_run_config_is_a_config_error(mutation):
     key, value = mutation
     code, err = _run_config(_with(VALID, key, value))
