@@ -26,8 +26,8 @@ import numpy as np
 from .errors import InsufficientSamples
 from .lattice import ComplexField, spectral_gradient
 
-__all__ = ["DiagnosticsSample", "LayerResiduals", "period_peaks", "sample_diagnostics",
-           "virial_residuals"]
+__all__ = ["DiagnosticsSample", "LayerResiduals", "layer_energy", "period_peaks",
+           "sample_diagnostics", "virial_residuals"]
 
 # fixed column order shared with the series.csv writer
 SERIES_COLUMNS = (
@@ -70,36 +70,34 @@ class DiagnosticsSample:
         )
 
 
+def layer_energy(kinetic: float, potential: float, gamma: float, p: float) -> float:
+    """The energy kinetic/2 + gamma/(p+1) * potential of a layer of value gamma."""
+    return 0.5 * kinetic + gamma / (p + 1.0) * potential
+
+
 def sample_diagnostics(u: ComplexField, gamma_now: float, p: float) -> DiagnosticsSample:
     """Evaluate all tracked functionals of u for the layer value gamma_now."""
     g = u.grid
     v = u.values
-    amp2 = v.real**2 + v.imag**2
-    mass = g.integrate(amp2)
-    grads = spectral_gradient(u)
-    kin = 0.0
-    for dv in grads:
-        kin += g.integrate(dv.real**2 + dv.imag**2)
-    pot = g.integrate(amp2 ** (0.5 * (p + 1.0)))
-    energy = 0.5 * kin + gamma_now / (p + 1.0) * pot
-    meshes = g.meshes()
-    r2 = meshes[0] ** 2
-    if g.dim == 2:
-        r2 = r2 + meshes[1] ** 2
-    variance = g.integrate(r2 * amp2)
-    xdotgrad = meshes[0] * grads[0]
-    if g.dim == 2:
-        xdotgrad = xdotgrad + meshes[1] * grads[1]
-    momentum = g.integrate(np.imag(xdotgrad * np.conj(v)))
+    amp2 = v.real * v.real
+    amp2 += v.imag * v.imag
+    kin = mom = 0.0
+    for dv, x in zip(spectral_gradient(u), g.meshes()):
+        kin += np.vdot(dv, dv).real
+        dv *= x
+        mom += np.vdot(v, dv).imag
+    cv = g.cell_volume
+    # |u|^(p+1) = |u|^(p-1) |u|^2; numpy squares for p = 5 and copies for p = 3
+    kin, pot = float(kin) * cv, float(np.vdot(amp2 ** (0.5 * (p - 1.0)), amp2)) * cv
     return DiagnosticsSample(
         t=float(u.time),
         layer_gamma=float(gamma_now),
-        mass=float(mass),
-        kinetic=float(kin),
-        potential=float(pot),
-        energy=float(energy),
-        variance=float(variance),
-        momentum=float(momentum),
+        mass=g.integrate(amp2),
+        kinetic=kin,
+        potential=pot,
+        energy=layer_energy(kin, pot, gamma_now, p),
+        variance=float(np.vdot(g.radius_squared(), amp2)) * cv,
+        momentum=float(mom) * cv,
         linf=float(np.sqrt(np.max(amp2))),
     )
 

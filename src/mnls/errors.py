@@ -62,5 +62,9 @@ class EmptySeries(MnlsError):
     """Series file holds no data rows."""
 
 
+class UnreadableSeries(MnlsError):
+    """Series file that is missing, or holds a short row or a non-numeric cell."""
+
+
 class CorruptSnapshot(MnlsError):
     """Field snapshot with a bad magic, an unknown version or a short payload."""

@@ -81,6 +81,18 @@ class Grid:
             return k * k
         return k[:, None] ** 2 + k[None, :] ** 2
 
+    @lru_cache(maxsize=32)
+    def radius_squared(self) -> np.ndarray:
+        """|x|^2, with x measured from the box center."""
+        return sum(m * m for m in self.meshes())
+
+    @lru_cache(maxsize=32)
+    def derivative_symbols(self) -> tuple[np.ndarray, ...]:
+        """i*k per axis in FFT order, broadcastable to `shape`, Nyquist mode zeroed."""
+        ik = 1j * self.axis_wavenumbers()
+        ik[self.n // 2] = 0.0
+        return (ik,) if self.dim == 1 else (ik[:, None], ik[None, :])
+
     def integrate(self, values: np.ndarray) -> float:
         """Rectangle-rule integral of a real sampled function."""
         return float(np.sum(values)) * self.cell_volume
@@ -136,11 +148,9 @@ def spectral_gradient(f: ComplexField) -> tuple[np.ndarray, ...]:
     well-defined odd derivative on a real lattice, so its multiplier is
     zeroed; smooth, well-resolved fields carry no content there anyway.
     """
-    g = f.grid
-    k = g.axis_wavenumbers().copy()
-    k[g.n // 2] = 0.0
-    if g.dim == 1:
-        return (np.fft.ifft(1j * k * np.fft.fft(f.values)),)
-    fx = np.fft.ifft(1j * k[:, None] * np.fft.fft(f.values, axis=0), axis=0)
-    fy = np.fft.ifft(1j * k[None, :] * np.fft.fft(f.values, axis=1), axis=1)
-    return (fx, fy)
+    grads = []
+    for axis, ik in enumerate(f.grid.derivative_symbols()):
+        d = np.fft.fft(f.values, axis=axis)
+        d *= ik
+        grads.append(np.fft.ifft(d, axis=axis, out=d))
+    return tuple(grads)

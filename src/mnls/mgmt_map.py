@@ -120,17 +120,26 @@ class DispersionMap:
     def layer_partition(self, t_begin: float, t_end: float) -> list[Layer]:
         """Tile (t_begin, t_end] with maximal constant-gamma layers.
 
-        Raises NegativeTime if t_begin < 0 and EmptyWindow if the window
-        has no extent.
+        Neighbouring layers always differ in gamma, and no layer is a
+        rounding sliver at either edge of the window.  Raises NegativeTime
+        if t_begin < 0 and EmptyWindow if the window has no extent.
         """
         if t_begin < 0.0:
             raise NegativeTime(f"window starts at t={t_begin}")
         if not (t_end > t_begin):
             raise EmptyWindow(f"window ({t_begin}, {t_end}] is empty")
-        edges = [t_begin] + self._breakpoints(t_begin, t_end) + [t_end]
-        layers = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            layers.append(Layer(a, b, self.gamma_at(0.5 * (a + b))))
+        # A switch computed a few ulps off an edge (k * period need not round
+        # like the edge does) is snapped onto it, so it leaves no sliver layer.
+        tol = 4.0 * np.spacing(max(t_end, abs(self.reversed_pivot or 0.0)))
+        inner = [b for b in self._breakpoints(t_begin, t_end)
+                 if b - t_begin > tol and t_end - b > tol]
+        layers: list[Layer] = []
+        for a, b in zip([t_begin] + inner, inner + [t_end]):
+            gamma = self.gamma_at(0.5 * (a + b))
+            if layers and layers[-1].gamma == gamma:
+                layers[-1] = Layer(layers[-1].t_begin, b, gamma)  # one maximal layer
+            else:
+                layers.append(Layer(a, b, gamma))
         return layers
 
     def to_dict(self) -> dict:

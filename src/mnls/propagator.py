@@ -15,23 +15,22 @@ how badly resolved the run is.  Layer boundaries are never straddled;
 each layer gets its own uniform step dividing its length.
 
 The stepping is fused and buffered.  Each run owns three field-sized
-buffers: the complex marching field, a complex phase factor and one real
-array that holds |u|^2 and then the kick exponent |u|^(p-1).  The sweep
-runs in place (forward FFT, multiply by the layer symbol, inverse FFT),
-and the |u|^2 taken right after it serves both the amplitude check and
-the next kick, since a kick is a pure phase rotation.  The trailing
-half-kick of one step and the leading half-kick of the next are applied
-as one full kick; they are split only at sample times and layer ends,
-where the state must be the full-step one.  The layer symbol is rebuilt
-once per layer.
+buffers: the field, a phase factor and one real array holding |u|^2 and
+then the kick exponent |u|^(p-1).  The sweep runs in place, and the |u|^2
+taken after it serves both the amplitude check and the next kick, since
+a kick is a pure phase rotation.  The trailing half-kick of one step and
+the leading half-kick of the next are one full kick, split only at sample
+steps and layer ends.
 
-Blowup is a detection outcome, not an exception.  The amplitude cap is
-checked after every step (a single step from a capped state cannot reach
-non-finite values, which keeps the NonFiniteState guard meaningful); the
-mass-drift monitor runs at sample times.  The last stable state is not
-kept: on a halt it is rebuilt from the violating candidate by an inverse
-sweep and a backward half-kick, which is exact to rounding because the
-sweep is unitary and the kick keeps |u|.
+Blowup is a detection outcome, not an exception.  `evolve` keeps the step
+loop and checks the amplitude cap after every step (one step from a
+capped state cannot reach non-finite values, which keeps the
+NonFiniteState guard meaningful).  One recorder owns the TrajectoryLog
+and does all the rest: the samples, the mass-drift check at each one, the
+layer-switch events and the halt record.  On a halt the last stable state
+is rebuilt from the violating candidate by an inverse sweep and a
+backward half-kick, exact to rounding since the sweep is unitary and the
+kick keeps |u|.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSample, sample_diagnostics
+from .diagnostics import DiagnosticsSample, layer_energy, sample_diagnostics
 from .errors import NonFiniteState
-from .lattice import ComplexField
-from .mgmt_map import DispersionMap
+from .lattice import ComplexField, Grid
+from .mgmt_map import DispersionMap, Layer
 
 __all__ = ["ModelSpec", "BlowupPolicy", "TrajectoryLog", "evolve"]
 
@@ -165,6 +164,56 @@ class _Stepper:
         return u
 
 
+class _Recorder:
+    """Owns a run's TrajectoryLog and writes everything that goes into it: the
+    layer plan, the first sample, one sample per sample step with its
+    mass-drift check against the first, the layer-switch events and the halt."""
+
+    def __init__(self, grid: Grid, p: float, policy: BlowupPolicy, u: np.ndarray, t: float,
+                 gamma: float):
+        self.grid, self.p, self.tol = grid, p, policy.mass_drift_tol
+        self.log = TrajectoryLog(samples=[self._diagnose(u, t, gamma)])
+        self.mass0 = self.log.samples[0].mass
+
+    def _diagnose(self, u: np.ndarray, t: float, gamma: float) -> DiagnosticsSample:
+        return sample_diagnostics(ComplexField(self.grid, u, t), gamma, self.p)
+
+    def enter(self, layer: Layer, dt: float, steps: int) -> None:
+        self.log.layer_steps.append({"t_begin": layer.t_begin, "t_end": layer.t_end,
+                                     "gamma": layer.gamma, "dt": dt, "steps": steps})
+
+    def sample(self, u: np.ndarray, t: float, gamma: float) -> bool:
+        """Record the full-step state u at t.  Returns False and records
+        nothing when its mass drifted past the policy; `drift` keeps the value."""
+        smp = self._diagnose(u, t, gamma)
+        self.drift = abs(smp.mass - self.mass0) / self.mass0
+        if self.drift > self.tol:
+            return False
+        self.log.samples.append(smp)
+        return True
+
+    def switch(self, t: float, gamma_before: float, gamma_after: float) -> None:
+        """Log the switch at t with the energies, on both sides, of the sample there."""
+        smp = self.log.samples[-1]
+        self.log.events.append({
+            "type": "layer_switch", "t": t, "gamma_before": gamma_before,
+            "gamma_after": gamma_after, "energy_before": smp.energy,
+            "energy_after": layer_energy(smp.kinetic, smp.potential, gamma_after, self.p),
+            "potential": smp.potential, "mass": smp.mass,
+        })
+
+    def halt(self, u: np.ndarray, t_stable: float, gamma: float, reason: str, value: float,
+             t_violation: float) -> tuple[TrajectoryLog, ComplexField]:
+        """Close the log after a policy trip; u is the last stable state."""
+        log = self.log
+        if log.samples[-1].t < t_stable:
+            log.samples.append(self._diagnose(u, t_stable, gamma))
+        log.status, log.t_detect = "blowup", t_stable
+        log.events.append({"type": "blowup", "t_detect": t_stable, "t_violation": t_violation,
+                           "reason": reason, "value": value})
+        return log, ComplexField(self.grid, u, t_stable)
+
+
 def _steps_for(length: float, dt_target: float) -> int:
     # tiny slack so a length that is an exact multiple of dt_target does not
     # pick up a spurious extra step from rounding
@@ -203,12 +252,9 @@ def evolve(
     layers = disp_map.layer_partition(t_begin, t_end)
     lap = grid.laplacian_symbol()
 
-    log = TrajectoryLog()
     st = _Stepper(u0.values, p)
     cap = policy.cap_for(math.sqrt(st.modulus()))
-    first = sample_diagnostics(ComplexField(grid, st.u, t_begin), layers[0].gamma, p)
-    mass0 = first.mass
-    log.samples.append(first)
+    rec = _Recorder(grid, p, policy, st.u, t_begin, layers[0].gamma)
 
     # The trailing half-kick of a step and the leading half-kick of the next
     # are one full kick, split only where st.u must be a full-step state: at
@@ -218,15 +264,7 @@ def evolve(
         a, b = model.layer_coefficients(layer.gamma)
         steps = _steps_for(layer.length, dt_target)
         dt = layer.length / steps
-        log.layer_steps.append(
-            {
-                "t_begin": layer.t_begin,
-                "t_end": layer.t_end,
-                "gamma": layer.gamma,
-                "dt": dt,
-                "steps": steps,
-            }
-        )
+        rec.enter(layer, dt, steps)
         mult = np.exp(-1j * a * dt * lap)
         half = b * dt / 2.0
         st.kick(half)
@@ -236,58 +274,22 @@ def evolve(
             # the trailing kick is a pure phase: this is the candidate's modulus
             m2 = st.modulus()
             if not math.isfinite(m2):
-                raise NonFiniteState(
-                    f"non-finite state at t={t_new:.9g} without a policy trigger"
-                )
+                raise NonFiniteState(f"non-finite state at t={t_new:.9g} without a policy trigger")
             if m2 > cap * cap:
-                u = st.unstep(mult, half)
-                return _halt(log, grid, u, t_prev, layer.gamma, p, "amplitude", math.sqrt(m2), t_new)
+                return rec.halt(st.unstep(mult, half), t_prev, layer.gamma, "amplitude",
+                                math.sqrt(m2), t_new)
             if s < steps and s % sample_every:
                 st.kick(2.0 * half)
                 t_prev = t_new
                 continue
             st.kick(half)
-            smp = sample_diagnostics(ComplexField(grid, st.u, t_new), layer.gamma, p)
-            drift = abs(smp.mass - mass0) / mass0
-            if drift > policy.mass_drift_tol:
+            if not rec.sample(st.u, t_new, layer.gamma):
                 st.kick(-half)
-                u = st.unstep(mult, half)
-                return _halt(log, grid, u, t_prev, layer.gamma, p, "mass_drift", drift, t_new)
-            log.samples.append(smp)
+                return rec.halt(st.unstep(mult, half), t_prev, layer.gamma, "mass_drift",
+                                rec.drift, t_new)
             if s < steps:
                 st.u *= st.phase  # the next leading half-kick: same modulus, same phase
             elif li + 1 < len(layers):
-                gamma_in = layers[li + 1].gamma
-                log.events.append(
-                    {
-                        "type": "layer_switch",
-                        "t": t_new,
-                        "gamma_before": layer.gamma,
-                        "gamma_after": gamma_in,
-                        "energy_before": smp.energy,
-                        "energy_after": 0.5 * smp.kinetic
-                        + gamma_in / (p + 1.0) * smp.potential,
-                        "potential": smp.potential,
-                        "mass": smp.mass,
-                    }
-                )
+                rec.switch(t_new, layer.gamma, layers[li + 1].gamma)
             t_prev = t_new
-    return log, ComplexField(grid, st.u, t_end)
-
-
-def _halt(log, grid, u_stable, t_stable, gamma, p, reason, value, t_violation):
-    """Close the log after a policy trip; the violating state is discarded."""
-    if not log.samples or log.samples[-1].t < t_stable:
-        log.samples.append(sample_diagnostics(ComplexField(grid, u_stable, t_stable), gamma, p))
-    log.status = "blowup"
-    log.t_detect = t_stable
-    log.events.append(
-        {
-            "type": "blowup",
-            "t_detect": t_stable,
-            "t_violation": t_violation,
-            "reason": reason,
-            "value": value,
-        }
-    )
-    return log, ComplexField(grid, u_stable, t_stable)
+    return rec.log, ComplexField(grid, st.u, t_end)

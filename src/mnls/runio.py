@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import SERIES_COLUMNS
-from .errors import CorruptSnapshot, EmptySeries, MissingColumn
+from .errors import CorruptSnapshot, EmptySeries, MissingColumn, UnreadableSeries
 from .lattice import ComplexField, make_grid
 
 __all__ = [
@@ -111,8 +111,15 @@ def write_series_csv(path: str | Path, samples) -> None:
 
 
 def read_series_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Columns of a series file as float arrays, keyed by header name."""
-    text = Path(path).read_text()
+    """Columns of a series file as float arrays, keyed by header name.
+
+    Raises UnreadableSeries for a file that cannot be read, a row whose
+    cell count differs from the header's and a cell that is not a number.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableSeries(f"cannot read series {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise EmptySeries(f"{path}: no header")
@@ -120,10 +127,14 @@ def read_series_csv(path: str | Path) -> dict[str, np.ndarray]:
     rows = [ln.split(",") for ln in lines[1:]]
     if not rows:
         raise EmptySeries(f"{path}: header only, no data rows")
-    cols = {}
-    for j, name in enumerate(header):
-        cols[name] = np.array([float(r[j]) for r in rows])
-    return cols
+    for i, r in enumerate(rows, start=1):
+        if len(r) != len(header):
+            raise UnreadableSeries(f"{path}: data row {i} has {len(r)} cells where "
+                                   f"the header has {len(header)}")
+    try:
+        return {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(header)}
+    except ValueError as exc:
+        raise UnreadableSeries(f"{path}: {exc}") from exc
 
 
 def require_column(cols: dict[str, np.ndarray], name: str, path="series") -> np.ndarray:

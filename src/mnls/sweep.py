@@ -14,6 +14,8 @@ cell order regardless of completion order.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -113,13 +115,18 @@ def sweep_manageability(
     if not (isinstance(profile, dict) and profile.get("kind") in CLOSED_FORM_KINDS):
         raise ConfigError(f"sweep needs a closed-form base profile {CLOSED_FORM_KINDS}, "
                           f"got {profile!r}")
-    for key in axes:
+    if not isinstance(axes, dict):
+        raise ConfigError(f"sweep axes must be a record of value lists, got {axes!r}")
+    for key, vals in axes.items():
         if key not in _AXIS_KEYS:
             raise ConfigError(f"unknown sweep axis {key!r}; allowed: {_AXIS_KEYS}")
+        if not (isinstance(vals, (list, tuple)) and vals and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                for v in vals)):
+            raise ConfigError(f"sweep axis {key!r} needs a non-empty list of finite numbers, "
+                              f"got {vals!r}")
     names = list(axes)
     values = [list(map(float, axes[k])) for k in names]
-    if any(len(v) == 0 for v in values):
-        raise ConfigError("every sweep axis needs at least one value")
     jobs = []
     for index, combo in enumerate(itertools.product(*values)):
         cfg = dict(base)

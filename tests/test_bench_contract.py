@@ -91,3 +91,21 @@ def test_sweep_calls_through_the_traced_names(tracing):
     assert rows[0]["status"] == "completed"
     assert names >= {"harness.resolve_config", "profiles.field_from_record", "propagator.evolve",
                      "sweep.cell"}
+
+
+def test_halted_run_takes_one_sample_per_recorded_sample(tracing, tmp_path):
+    """A run that trips the amplitude cap between two sample steps calls
+    sample_diagnostics once per recorded sample, the halt sample included."""
+    config = _tiny({"kind": "pseudo_conformal", "blowup_time": 0.5}) | {
+        "model": {"kind": "dm"},
+        "map": {"t_star": 1e6, "t_period": 2e6},  # one focusing layer
+        "policy": {"amplitude_factor": 1.5},
+    }
+    tracer, summary, _ = _traced(tracing, lambda: run_experiment(config, tmp_path))
+    log = summary["log"]
+    assert log.status == "blowup" and log.events[-1]["reason"] == "amplitude"
+    steps = tracing.steps_taken(log)
+    assert (steps - 1) % config["sample_every"] != 0, "the last stable step is a sample step"
+    assert log.samples[-1].t == log.t_detect
+    assert tracer.counts["diagnostics.samples"] == len(log.samples)
+    assert tracer.counts["propagator.steps"] == steps

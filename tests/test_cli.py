@@ -155,6 +155,18 @@ def test_plot_column_flag(tmp_path, capsys):
     assert main(["plot", str(series), "--col", "entropy", "--out", str(tmp_path / "no.svg")]) == 1
 
 
+@pytest.mark.parametrize("text", [None, "t,linf\n0.0,1.0\n0.5,high\n", "t,linf\n0.0,1.0\n0.5\n"],
+                         ids=["missing-file", "non-numeric-cell", "short-row"])
+def test_plot_malformed_series_exits_one(tmp_path, capsys, text):
+    series = tmp_path / "series.csv"
+    if text is not None:
+        series.write_text(text)
+    assert main(["plot", str(series), "--out", str(tmp_path / "p.svg")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_sweep_config_file(tmp_path, capsys):
     plan = {
         "base": _tiny_config() | {"t_end": 2.0},
@@ -175,6 +187,16 @@ def test_sweep_rejects_incomplete_plan(tmp_path, capsys):
     cfg.write_text(json.dumps({"base": _tiny_config()}))
     assert main(["sweep", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_rejects_malformed_axes(tmp_path, capsys):
+    plan = {"base": _tiny_config(), "axes": {"gamma": "abc"},
+            "criterion": {"peak_floor": 0.5, "sup_cap": 3.0}}
+    cfg = tmp_path / "axes.json"
+    cfg.write_text(json.dumps(plan))
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "x"), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
 
 
 def test_exit_code_two_on_numerical_fault(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from mnls.diagnostics import (
     virial_residuals,
 )
 from mnls.errors import InsufficientSamples
-from mnls.lattice import make_grid
+from mnls.lattice import ComplexField, make_grid
 from mnls.profiles import ground_state_1d, pseudo_conformal_field
 from mnls.propagator import ModelSpec
 
@@ -86,6 +86,30 @@ def test_energy_is_affine_in_gamma(grid1d):
     assert abs((hi.energy - lo.energy) - hi.potential / 3.0) < 1e-12 * (1.0 + hi.potential)
     assert hi.kinetic == lo.kinetic
     assert hi.potential == lo.potential
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 5.0])
+def test_chirped_gaussian_2d_closed_forms(p):
+    """u = A exp(-|x|^2/(2 s^2) + i b |x|^2) in the plane: mass = pi A^2 s^2,
+    I = pi A^2 s^4, P = 2 b I, kinetic = pi A^2 (1 + 4 b^2 s^4) and
+    potential = 2 pi A^(p+1) s^2 / (p+1), which is pi A^4 s^2 / 2 at p = 3."""
+    a, s, b = 1.2, 1.1, 0.3
+    g = make_grid(2, half_width=8.0, n=64)
+    r2 = g.meshes()[0] ** 2 + g.meshes()[1] ** 2
+    u = ComplexField(g, a * np.exp(-r2 / (2 * s * s) + 1j * b * r2))
+    d = sample_diagnostics(u, gamma_now=-1.0, p=p)
+    variance = np.pi * a**2 * s**4
+    exact = {
+        "mass": np.pi * a**2 * s**2,
+        "variance": variance,
+        "momentum": 2 * b * variance,
+        "kinetic": np.pi * a**2 * (1 + 4 * b**2 * s**4),
+        "potential": 2 * np.pi * a ** (p + 1) * s**2 / (p + 1),
+    }
+    for name, value in exact.items():
+        assert abs(getattr(d, name) - value) < 1e-13 * value, name
+    assert abs(d.energy - (0.5 * d.kinetic - d.potential / (p + 1))) < 1e-14 * d.kinetic
+    assert d.linf == pytest.approx(a, rel=1e-15)
 
 
 def test_sample_row_order_matches_series_columns():

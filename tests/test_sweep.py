@@ -58,6 +58,19 @@ def test_sweep_rejects_empty_axis():
         sweep_manageability(_base_config(), {"gamma": []}, _crit())
 
 
+@pytest.mark.parametrize("axes", [["gamma"], "gamma", None])
+def test_sweep_rejects_axes_that_are_not_a_record(axes):
+    with pytest.raises(ConfigError, match="record"):
+        sweep_manageability(_base_config(), axes, _crit())
+
+
+@pytest.mark.parametrize("values", ["abc", 1.0, [1.0, "x"], [True], [float("nan")],
+                                    [1.0, float("inf")], {"a": 1.0}])
+def test_sweep_rejects_axis_values_that_are_not_finite_numbers(values):
+    with pytest.raises(ConfigError, match="finite numbers"):
+        sweep_manageability(_base_config(), {"gamma": values}, _crit())
+
+
 def test_sweep_gamma_axis_sequential(tmp_path):
     """Weaker dispersion focuses harder; the cap separates the two cells."""
     out_csv = tmp_path / "sweep.csv"
