@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -26,8 +25,6 @@ from .mgmt_map import normalized_map
 from .plotting import emit_plot
 from .runio import write_series_csv, write_snapshot
 from .sweep import ManageabilityCriterion, sweep_manageability
-
-log = logging.getLogger("mnls")
 
 
 def _load_json(path: str) -> dict:
@@ -86,14 +83,12 @@ def _cmd_construct(args) -> int:
 def _cmd_sweep(args) -> int:
     plan = _load_json(args.config)
     try:
-        base = plan["base"]
-        axes = plan["axes"]
-        crit = plan["criterion"]
-        criterion = ManageabilityCriterion(
-            peak_floor=float(crit["peak_floor"]),
-            sup_cap=float(crit["sup_cap"]),
-            t_end=(float(crit["t_end"]) if "t_end" in crit else None),
-        )
+        base, axes, crit = plan["base"], plan["axes"], plan["criterion"]
+        unknown = sorted(set(crit) - {"peak_floor", "sup_cap"})
+        if unknown:
+            raise ConfigError(f"unknown criterion keys {unknown}: a criterion takes peak_floor "
+                              "and sup_cap, and the sweep runs each cell to base.t_end")
+        criterion = ManageabilityCriterion(float(crit["peak_floor"]), float(crit["sup_cap"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"sweep config needs base/axes/criterion: {exc}") from exc
     out = Path(args.out)
@@ -167,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -74,7 +74,7 @@ def backward_blowup_data(
         conjugate=(model.kind == "dm"),
     )
     rev = normalized_map().reverse(pivot)
-    log, final = evolve(model, rev, seed, 0.0, pivot, dt_target, sample_every, policy)
+    log, final = evolve(model, rev, seed, pivot, dt_target, sample_every, policy)
     if not log.completed:
         raise BlowupDuringConstruction(log.t_detect, log)
     u0 = ComplexField(grid, np.conj(final.values), 0.0)

@@ -35,23 +35,27 @@ _REQUIRED = ("model", "map", "profile", "grid", "dt_target", "t_end")
 
 
 def resolve_config(target: str | dict, overrides: dict | None = None) -> dict:
-    """Expand a catalog id or explicit dict into a full configuration."""
+    """Expand a catalog id or explicit dict into a full configuration.
+
+    Overrides replace top-level values and merge into nested records one
+    level deep.  A dict that names an `experiment` and lacks a required key
+    is that catalog entry with the dict's other keys applied as overrides.
+    """
+    if isinstance(target, dict) and "experiment" in target and not all(
+            k in target for k in _REQUIRED):
+        rest = {k: v for k, v in target.items() if k != "experiment"}
+        return resolve_config(resolve_config(target["experiment"], rest), overrides)
     if isinstance(target, str):
         config = catalog_entry(target)
     elif isinstance(target, dict):
-        if "experiment" in target and not all(k in target for k in _REQUIRED):
-            config = catalog_entry(target["experiment"])
-            config.update({k: v for k, v in target.items() if k != "experiment"})
-        else:
-            config = dict(target)
+        config = dict(target)
     else:
         raise ConfigError(f"config must be an experiment name or dict, got {type(target)}")
-    if overrides:
-        for key, value in overrides.items():
-            if isinstance(value, dict) and isinstance(config.get(key), dict):
-                config[key] = {**config[key], **value}
-            else:
-                config[key] = value
+    for key, value in (overrides or {}).items():
+        if isinstance(value, dict) and isinstance(config.get(key), dict):
+            config[key] = {**config[key], **value}
+        else:
+            config[key] = value
     missing = [k for k in _REQUIRED if k not in config]
     if missing:
         raise ConfigError(f"config is missing keys: {missing}")
@@ -180,7 +184,7 @@ def run_experiment(target: str | dict, out_dir: str | Path, overrides: dict | No
         write_snapshot(out / "u0.mnls", u0)
         write_series_csv(out / "construction.csv", construction_log.samples)
 
-    log, final = evolve(run.model, run.disp_map, u0, 0.0, run.t_end, run.dt_target,
+    log, final = evolve(run.model, run.disp_map, u0, run.t_end, run.dt_target,
                         run.sample_every, run.policy)
     write_snapshot(out / ("final.mnls" if log.completed else "last_stable.mnls"), final)
     meta = _write_run_artifacts(out, config, run.grid, log.status, log, construction_log)

@@ -163,16 +163,9 @@ class DispersionMap:
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown map keys: {unknown}")
-        return cls(
-            gamma_minus=float(d.get("gamma_minus", 1.0)),
-            gamma_plus=float(d.get("gamma_plus", 1.0)),
-            t_star=float(d.get("t_star", 1.0)),
-            t_period=float(d.get("t_period", 2.0)),
-            epsilon=float(d.get("epsilon", 1.0)),
-            reversed_pivot=(
-                float(d["reversed_pivot"]) if d.get("reversed_pivot") is not None else None
-            ),
-        )
+        # absent keys take the dataclass defaults; only reversed_pivot may be None
+        return cls(**{k: None if v is None and k == "reversed_pivot" else float(v)
+                      for k, v in d.items()})
 
 
 def normalized_map() -> DispersionMap:

@@ -203,9 +203,11 @@ class _Recorder:
         })
 
     def halt(self, u: np.ndarray, t_stable: float, gamma: float, reason: str, value: float,
-             t_violation: float) -> tuple[TrajectoryLog, ComplexField]:
-        """Close the log after a policy trip; u is the last stable state."""
+             t_violation: float, steps: int) -> tuple[TrajectoryLog, ComplexField]:
+        """Close the log after a policy trip; u is the last stable state and
+        `steps` the steps the last layer computed, the violating one included."""
         log = self.log
+        log.layer_steps[-1]["steps"] = steps
         if log.samples[-1].t < t_stable:
             log.samples.append(self._diagnose(u, t_stable, gamma))
         log.status, log.t_detect = "blowup", t_stable
@@ -224,17 +226,16 @@ def evolve(
     model: ModelSpec,
     disp_map: DispersionMap,
     u0: ComplexField,
-    t_begin: float,
     t_end: float,
     dt_target: float,
     sample_every: int = 1,
     policy: BlowupPolicy | None = None,
 ) -> tuple[TrajectoryLog, ComplexField]:
-    """March u0 from t_begin to t_end through the map's layers.
+    """March u0 from its own time u0.time to t_end through the map's layers.
 
     Per layer the step count is ceil(length / dt_target) and the realized
     dt divides the layer length exactly, so every gamma discontinuity is
-    hit exactly.  Diagnostics are recorded at t_begin, every sample_every
+    hit exactly.  Diagnostics are recorded at u0.time, every sample_every
     steps, and at each layer end; layer-switch events carry the energies
     on both sides of the interface.
 
@@ -245,9 +246,7 @@ def evolve(
         policy = BlowupPolicy()
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    if abs(u0.time - t_begin) > 1e-12:
-        raise ValueError(f"u0 is stamped t={u0.time}, expected t_begin={t_begin}")
-    grid = u0.grid
+    grid, t_begin = u0.grid, u0.time
     p = model.resolve_p(grid.dim)
     layers = disp_map.layer_partition(t_begin, t_end)
     lap = grid.laplacian_symbol()
@@ -277,7 +276,7 @@ def evolve(
                 raise NonFiniteState(f"non-finite state at t={t_new:.9g} without a policy trigger")
             if m2 > cap * cap:
                 return rec.halt(st.unstep(mult, half), t_prev, layer.gamma, "amplitude",
-                                math.sqrt(m2), t_new)
+                                math.sqrt(m2), t_new, s)
             if s < steps and s % sample_every:
                 st.kick(2.0 * half)
                 t_prev = t_new
@@ -286,7 +285,7 @@ def evolve(
             if not rec.sample(st.u, t_new, layer.gamma):
                 st.kick(-half)
                 return rec.halt(st.unstep(mult, half), t_prev, layer.gamma, "mass_drift",
-                                rec.drift, t_new)
+                                rec.drift, t_new, s)
             if s < steps:
                 st.u *= st.phase  # the next leading half-kick: same modulus, same phase
             elif li + 1 < len(layers):

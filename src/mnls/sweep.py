@@ -41,7 +41,11 @@ class ManageabilityCriterion:
 
     peak_floor: float  # c0
     sup_cap: float  # C0
-    t_end: float | None = None  # horizon override; default: the config's
+
+    def __post_init__(self):
+        # a NaN threshold fails every comparison and grades every cell unmanageable
+        if not (math.isfinite(self.peak_floor) and math.isfinite(self.sup_cap)):
+            raise ValueError(f"criterion thresholds must be finite, got {self!r}")
 
 
 def verdict(status: str, sup_linf: float, min_period_peak: float,
@@ -55,44 +59,29 @@ def verdict(status: str, sup_linf: float, min_period_peak: float,
     return bool(min_period_peak >= criterion.peak_floor)
 
 
-def _apply_axis(map_dict: dict, key: str, value: float) -> dict:
-    d = dict(map_dict)
-    if key == "gamma":
-        d["gamma_minus"] = value
-        d["gamma_plus"] = value
-    else:
-        d[key] = value
-    return d
-
-
-def _run_cell(args):
-    index, config, criterion = args
+def _run_cell(config: dict) -> dict:
+    """Run one resolved cell config to its t_end; return its measurements."""
     try:
         run = build_run(config)
-        t_end = run.t_end if criterion.t_end is None else float(criterion.t_end)
         u0 = field_from_record(run.grid, config["profile"])
-        log, _ = evolve(run.model, run.disp_map, u0, 0.0, t_end, run.dt_target,
+        log, _ = evolve(run.model, run.disp_map, u0, run.t_end, run.dt_target,
                         run.sample_every, run.policy)
         ts = np.array([s.t for s in log.samples])
         linf = np.array([s.linf for s in log.samples])
-        sup = float(np.max(linf))
-        peaks = period_peaks(ts, linf, run.disp_map.period, t_end)
-        min_peak = min(peaks) if peaks else float("nan")
-        return index, {
+        peaks = period_peaks(ts, linf, run.disp_map.period, run.t_end)
+        return {
             "status": log.status,
-            "sup_linf": sup,
-            "min_period_peak": min_peak,
+            "sup_linf": float(np.max(linf)),
+            "min_period_peak": min(peaks) if peaks else float("nan"),
             "periods": len(peaks),
-            "manageable": verdict(log.status, sup, min_peak, criterion),
             "error": "",
         }
     except MnlsError as exc:
-        return index, {
+        return {
             "status": "error",
             "sup_linf": float("nan"),
             "min_period_peak": float("nan"),
             "periods": 0,
-            "manageable": False,
             "error": f"{type(exc).__name__}: {exc}",
         }
 
@@ -106,9 +95,11 @@ def sweep_manageability(
 ) -> list[dict]:
     """Grade every cell of the axes product; optionally write a CSV table.
 
-    Returns one row dict per cell in Cartesian order (first axis slowest),
-    each carrying the axis values, run status, sup of sup|u|, the smallest
-    per-period peak, and the manageable verdict.
+    A cell is the base with its axis values merged into the map (`gamma`
+    sets gamma_minus and gamma_plus), run to the base's t_end.  Returns one
+    row dict per cell in Cartesian order (first axis slowest), each carrying
+    the axis values, run status, sup of sup|u|, the smallest per-period
+    peak, and the manageable verdict.
     """
     base = resolve_config(base_config)
     profile = base["profile"]
@@ -126,36 +117,25 @@ def sweep_manageability(
             raise ConfigError(f"sweep axis {key!r} needs a non-empty list of finite numbers, "
                               f"got {vals!r}")
     names = list(axes)
-    values = [list(map(float, axes[k])) for k in names]
-    jobs = []
-    for index, combo in enumerate(itertools.product(*values)):
-        cfg = dict(base)
-        m = dict(base["map"])
-        for key, val in zip(names, combo):
-            m = _apply_axis(m, key, val)
-        cfg["map"] = m
-        jobs.append((index, cfg, criterion))
+    combos = list(itertools.product(*[list(map(float, axes[k])) for k in names]))
+    map_keys = [("gamma_minus", "gamma_plus") if k == "gamma" else (k,) for k in names]
+    configs = [resolve_config(base, {"map": {m: v for ms, v in zip(map_keys, c) for m in ms}})
+               for c in combos]
 
     if max_workers is None:
         max_workers = os.cpu_count() or 1
-    max_workers = max(1, min(max_workers, len(jobs)))
-
-    results: list[dict | None] = [None] * len(jobs)
+    max_workers = max(1, min(max_workers, len(configs)))
     if max_workers == 1:
-        for job in jobs:
-            index, row = _run_cell(job)
-            results[index] = row
+        cells = [_run_cell(config) for config in configs]
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            for index, row in pool.map(_run_cell, jobs):
-                results[index] = row
+            cells = list(pool.map(_run_cell, configs))
 
     rows = []
-    for index, (combo, row) in enumerate(zip(itertools.product(*values), results)):
-        full = {"cell": index}
-        full.update({k: v for k, v in zip(names, combo)})
-        full.update(row)
-        rows.append(full)
+    for index, (combo, cell) in enumerate(zip(combos, cells)):
+        rows.append({"cell": index, **dict(zip(names, combo)), **cell,
+                     "manageable": verdict(cell["status"], cell["sup_linf"],
+                                           cell["min_period_peak"], criterion)})
 
     if out_csv is not None:
         header = ["cell", *names, "status", "sup_linf", "min_period_peak", "periods",

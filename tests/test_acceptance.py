@@ -71,7 +71,7 @@ def test_criterion_02_standing_wave_fidelity(criteria_board):
     ref = np.exp(-1j * 1.0) * q.values
     errs = []
     for dt in (1e-3, 5e-4, 2.5e-4):
-        log, final = evolve(ModelSpec("dm"), normalized_map(), q, 0.0, 1.0, dt)
+        log, final = evolve(ModelSpec("dm"), normalized_map(), q, 1.0, dt)
         assert log.completed
         errs.append(float(np.sqrt(grid.integrate(np.abs(final.values - ref) ** 2)) / den))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
@@ -94,7 +94,7 @@ def test_criterion_03_virial_residual_decay(criteria_board):
     model = ModelSpec("dm")
     res1, res2 = [], []
     for dt in (1e-3, 5e-4, 2.5e-4):
-        log, _ = evolve(model, normalized_map(), u0, 0.0, 2.0, dt, sample_every=1)
+        log, _ = evolve(model, normalized_map(), u0, 2.0, dt, sample_every=1)
         assert log.completed
         layers = virial_residuals(log, model)
         res1.append(max(float(np.max(l.residual1)) for l in layers))

@@ -109,3 +109,4 @@ def test_halted_run_takes_one_sample_per_recorded_sample(tracing, tmp_path):
     assert log.samples[-1].t == log.t_detect
     assert tracer.counts["diagnostics.samples"] == len(log.samples)
     assert tracer.counts["propagator.steps"] == steps
+    assert summary["meta"]["stepping"]["total_steps"] == steps

@@ -74,6 +74,16 @@ def test_run_json_config(tmp_path, capsys):
     assert "status: completed" in capsys.readouterr().out
 
 
+def test_run_json_config_naming_an_experiment(tmp_path, capsys):
+    """A partial grid record merges into the catalog entry's grid."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "foc-first-layer-T0.5", "grid": {"n": 512},
+                               "t_end": 0.05}))
+    out = tmp_path / "exp-run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["grid"]["n"] == 512
+
+
 def test_run_unknown_id_exits_one(tmp_path, capsys):
     assert main(["run", "no-such-run", "--out", str(tmp_path)]) == 1
     assert "config error" in capsys.readouterr().err
@@ -187,6 +197,19 @@ def test_sweep_rejects_incomplete_plan(tmp_path, capsys):
     cfg.write_text(json.dumps({"base": _tiny_config()}))
     assert main(["sweep", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criterion, message", [
+    ({"peak_floor": 0.5, "sup_cap": 3.0, "t_end": 1.0}, "base.t_end"),
+    ({"peak_floor": float("nan"), "sup_cap": 3.0}, "finite"),
+])
+def test_sweep_rejects_bad_criterion(tmp_path, capsys, criterion, message):
+    plan = {"base": _tiny_config(), "axes": {"gamma": [1.0]}, "criterion": criterion}
+    cfg = tmp_path / "crit.json"
+    cfg.write_text(json.dumps(plan))
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "x"), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err and "Traceback" not in err
 
 
 def test_sweep_rejects_malformed_axes(tmp_path, capsys):

@@ -55,7 +55,6 @@ def test_forward_evolution_returns_to_the_seed(grid1d, nm_construction):
         ModelSpec("nm"),
         normalized_map(),
         u0,
-        0.0,
         2.0,
         5e-4,
         sample_every=10**9,

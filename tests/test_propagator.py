@@ -25,7 +25,7 @@ def test_model_spec_validation():
 def _one_step(kind, gamma, u, dt):
     """A single Strang step of evolve inside a first layer of value -gamma."""
     disp = DispersionMap(gamma_minus=gamma, gamma_plus=1.0, t_star=1.0, t_period=2.0)
-    log, out = evolve(ModelSpec(kind), disp, u, 0.0, dt, dt)
+    log, out = evolve(ModelSpec(kind), disp, u, dt, dt)
     assert log.completed and log.layer_steps[0]["steps"] == 1
     return out
 
@@ -83,7 +83,6 @@ def dm_run(grid1d):
         ModelSpec("dm"),
         normalized_map(),
         u0,
-        0.0,
         2.0,
         1e-3,
         sample_every=20,
@@ -140,7 +139,6 @@ def test_standing_wave_energy_drift_within_layer(grid1d):
         ModelSpec("dm"),
         normalized_map(),
         u0,
-        0.0,
         1.0,
         1e-3,
         sample_every=50,
@@ -160,11 +158,11 @@ def test_second_order_self_convergence(grid1d):
     disp = normalized_map()
     pol = BlowupPolicy(amplitude_factor=50.0)
     coarse = 1e-3
-    ref = evolve(model, disp, u0, 0.0, 1.0, coarse / 8.0, sample_every=10**9, policy=pol)[1]
+    ref = evolve(model, disp, u0, 1.0, coarse / 8.0, sample_every=10**9, policy=pol)[1]
     den = np.sqrt(grid1d.integrate(np.abs(ref.values) ** 2))
     errs = []
     for dt in (coarse, coarse / 2.0):
-        out = evolve(model, disp, u0, 0.0, 1.0, dt, sample_every=10**9, policy=pol)[1]
+        out = evolve(model, disp, u0, 1.0, dt, sample_every=10**9, policy=pol)[1]
         num = np.sqrt(grid1d.integrate(np.abs(out.values - ref.values) ** 2))
         errs.append(num / den)
     ratio = errs[0] / errs[1]
@@ -180,7 +178,6 @@ def test_nm_momentum_monotone_at_critical_mass(grid1d):
         ModelSpec("nm"),
         normalized_map(),
         u0,
-        0.0,
         2.0,
         1e-3,
         sample_every=20,
@@ -200,7 +197,7 @@ def test_blowup_detection_semantics(grid1d):
     focusing = DispersionMap(t_star=1e6, t_period=2e6)
     policy = BlowupPolicy(amplitude_factor=2.3)
     log, final = evolve(
-        ModelSpec("dm"), focusing, u0, 0.0, 1.0, 5e-4, sample_every=10, policy=policy
+        ModelSpec("dm"), focusing, u0, 1.0, 5e-4, sample_every=10, policy=policy
     )
     assert log.status == "blowup"
     assert not log.completed
@@ -225,7 +222,7 @@ def test_mass_drift_policy_trips(grid1d):
     u0 = ground_state_1d(grid1d)
     policy = BlowupPolicy(mass_drift_tol=1e-17)
     log, final = evolve(
-        ModelSpec("dm"), normalized_map(), u0, 0.0, 1.0, 1e-3, sample_every=1, policy=policy
+        ModelSpec("dm"), normalized_map(), u0, 1.0, 1e-3, sample_every=1, policy=policy
     )
     assert log.status == "blowup"
     ev = [e for e in log.events if e["type"] == "blowup"][0]
@@ -238,16 +235,14 @@ def test_mass_drift_policy_trips(grid1d):
 def test_evolve_rejects_bad_arguments(grid1d):
     u0 = ground_state_1d(grid1d)
     with pytest.raises(ValueError):
-        evolve(ModelSpec("dm"), normalized_map(), u0, 0.5, 1.0, 1e-3)
-    with pytest.raises(ValueError):
-        evolve(ModelSpec("dm"), normalized_map(), u0, 0.0, 1.0, 1e-3, sample_every=0)
+        evolve(ModelSpec("dm"), normalized_map(), u0, 1.0, 1e-3, sample_every=0)
 
 
 def test_sampling_cadence(grid1d):
     """Samples land every sample_every steps plus the layer ends."""
     u0 = ground_state_1d(grid1d)
     log, _ = evolve(
-        ModelSpec("dm"), normalized_map(), u0, 0.0, 2.0, 0.25, sample_every=2
+        ModelSpec("dm"), normalized_map(), u0, 2.0, 0.25, sample_every=2
     )
     ts = [s.t for s in log.samples]
     assert ts == [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -265,7 +260,7 @@ def test_fused_kicks_change_no_result(kind, p):
     disp = DispersionMap(epsilon=0.3)  # layers of length 0.3: five switches
     policy = BlowupPolicy(amplitude_factor=50.0)
     (dense, f1), (sparse, f7) = (
-        evolve(ModelSpec(kind, p), disp, u0, 0.0, 1.6, 1e-2, sample_every=k, policy=policy)
+        evolve(ModelSpec(kind, p), disp, u0, 1.6, 1e-2, sample_every=k, policy=policy)
         for k in (1, 7)
     )
     assert dense.completed and sparse.completed
@@ -281,7 +276,7 @@ def _march_to(model, disp, u0, t, dt):
     """The state at time t of an uncapped run from u0 (u0 itself at t = 0)."""
     if t == 0.0:
         return u0
-    return evolve(model, disp, u0, 0.0, t, dt, sample_every=10**9)[1]
+    return evolve(model, disp, u0, t, dt, sample_every=10**9)[1]
 
 
 def test_halt_inside_a_fused_stretch_returns_the_last_stable_state(grid1d):
@@ -292,8 +287,8 @@ def test_halt_inside_a_fused_stretch_returns_the_last_stable_state(grid1d):
     focusing = DispersionMap(t_star=1e6, t_period=2e6)
     model, dt = ModelSpec("dm"), 5e-4
     policy = BlowupPolicy(amplitude_factor=2.3)
-    dense_log, dense = evolve(model, focusing, u0, 0.0, 1.0, dt, sample_every=1, policy=policy)
-    log, final = evolve(model, focusing, u0, 0.0, 1.0, dt, sample_every=9, policy=policy)
+    dense_log, dense = evolve(model, focusing, u0, 1.0, dt, sample_every=1, policy=policy)
+    log, final = evolve(model, focusing, u0, 1.0, dt, sample_every=9, policy=policy)
     trip = [e for e in log.events if e["type"] == "blowup"][0]
     step = round(trip["t_violation"] / dt)
     assert step % 9 and (step - 1) % 9  # neither the trip nor the step before is sampled

@@ -1,5 +1,6 @@
-"""Property tests: layer tiling, map reversal, snapshot round trips, and the
-clean rejection of malformed input on the command line."""
+"""Property tests: layer tiling, map reversal, the config merge rule,
+snapshot round trips, and the clean rejection of malformed input on the
+command line."""
 
 import io
 import json
@@ -14,8 +15,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mnls.catalog import catalog_ids
 from mnls.cli import main
 from mnls.errors import MnlsError
+from mnls.harness import resolve_config
 from mnls.lattice import ComplexField, make_grid
 from mnls.mgmt_map import DispersionMap
 from mnls.runio import read_snapshot, write_snapshot
@@ -70,6 +73,31 @@ def test_reverse_is_an_involution(disp, pivot):
     rev = disp.reverse(pivot)
     assert rev.reversed_pivot == pivot
     assert rev.reverse(pivot) == disp
+
+
+# -- config merging ------------------------------------------------------------
+
+_MAP_KEYS = ("gamma_minus", "gamma_plus", "t_star", "t_period", "epsilon")
+_POLICY_KEYS = ("amplitude_factor", "mass_drift_tol", "amplitude_ceiling")
+
+# partial records and scalars; no model or profile, so a required key stays unset
+_overrides = st.fixed_dictionaries({}, optional={
+    "map": st.dictionaries(st.sampled_from(_MAP_KEYS), st.floats(0.01, 10.0)),
+    "grid": st.dictionaries(st.sampled_from(("dim", "half_width", "n")), st.integers(1, 4096)),
+    "policy": st.dictionaries(st.sampled_from(_POLICY_KEYS), st.floats(1.0, 1e3)),
+    "t_end": st.floats(0.01, 30.0),
+    "dt_target": st.floats(1e-5, 1e-2),
+    "sample_every": st.integers(1, 100),
+})
+
+
+# the fast map's t_star and t_period survive a partial map record
+@given(st.sampled_from(catalog_ids()), _overrides)
+@example("2d-fast-dm", {"map": {"epsilon": 0.5}})
+@example("dm-global-T1.5", {"grid": {"n": 2048}})
+def test_experiment_dict_merges_like_overrides(experiment, overrides):
+    assert resolve_config({"experiment": experiment, **overrides}) == resolve_config(
+        experiment, overrides)
 
 
 # -- snapshots -----------------------------------------------------------------

@@ -7,14 +7,20 @@ from mnls.errors import ConfigError
 from mnls.sweep import ManageabilityCriterion, sweep_manageability, verdict
 
 
-def _crit(floor=0.5, cap=3.0, t_end=None):
-    return ManageabilityCriterion(peak_floor=floor, sup_cap=cap, t_end=t_end)
+def _crit(floor=0.5, cap=3.0):
+    return ManageabilityCriterion(peak_floor=floor, sup_cap=cap)
 
 
 def test_verdict_requires_completion():
     assert not verdict("blowup", 1.0, 1.0, _crit())
     assert not verdict("error", 1.0, 1.0, _crit())
     assert verdict("completed", 1.0, 1.0, _crit())
+
+
+@pytest.mark.parametrize("floor, cap", [(float("nan"), 3.0), (0.5, float("inf"))])
+def test_criterion_rejects_non_finite_thresholds(floor, cap):
+    with pytest.raises(ValueError, match="finite"):
+        ManageabilityCriterion(peak_floor=floor, sup_cap=cap)
 
 
 def test_verdict_bounds():
@@ -133,11 +139,11 @@ def test_sweep_error_cell_is_captured(tmp_path):
 
 
 def test_sweep_t_end_override():
-    """The criterion horizon shortens the run without touching the config."""
+    """The base's t_end is the sweep horizon: one layer holds no full period."""
     rows = sweep_manageability(
-        _base_config(),
+        {**_base_config(), "t_end": 1.0},
         {"gamma": [1.0]},
-        _crit(t_end=1.0),
+        _crit(),
         max_workers=1,
     )
     assert rows[0]["periods"] == 0
