@@ -17,6 +17,7 @@ than at the generic default, which no desk-scale lattice can reach.
 
 from __future__ import annotations
 
+import copy
 import math
 
 from .errors import ConfigError
@@ -209,12 +210,9 @@ def catalog_ids() -> list[str]:
 
 
 def catalog_entry(name: str) -> dict:
-    """Deep-ish copy of a catalog configuration."""
+    """Deep copy of a catalog configuration, tagged with its name."""
     if name not in CATALOG:
         raise ConfigError(f"unknown experiment {name!r}; see `mnls list`")
-    e = CATALOG[name]
-    out = dict(e)
-    for key in ("model", "map", "profile", "grid", "policy", "reference", "expected"):
-        out[key] = dict(e[key])
+    out = copy.deepcopy(CATALOG[name])
     out["experiment"] = name
     return out

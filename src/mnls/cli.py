@@ -21,7 +21,6 @@ from pathlib import Path
 from .catalog import CATALOG, catalog_ids
 from .errors import BlowupDuringConstruction, ConfigError, MnlsError, NonFiniteState
 from .harness import build_run, initial_data, resolve_config, run_experiment
-from .mgmt_map import normalized_map
 from .plotting import emit_plot
 from .runio import write_series_csv, write_snapshot
 from .sweep import ManageabilityCriterion, sweep_manageability
@@ -54,9 +53,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    # the run the constructed data is meant for: the unit map up to its blowup
+    # the run the constructed data is meant for: the unit map (the map
+    # defaults) up to its blowup
     config = resolve_config({
-        "model": {"kind": args.kind}, "map": normalized_map().to_dict(),
+        "model": {"kind": args.kind}, "map": {},
         "profile": {"kind": "backward_construction", "layer_index": args.layer,
                     "blowup_time": args.blowup_time, "omega": args.omega},
         "grid": {"dim": 1, "half_width": args.half_width, "n": args.n},

@@ -60,10 +60,9 @@ def backward_blowup_data(
     Raises BlowupDuringConstruction if the auxiliary run trips the policy,
     which is the expected outcome when the Laplacian is managed.
     """
-    n = int(layer_index)
-    if n < 1:
-        raise ValueError("layer_index must be a positive integer")
-    pivot = 2.0 * n
+    if isinstance(layer_index, bool) or not (isinstance(layer_index, int) and layer_index >= 1):
+        raise ValueError(f"layer_index must be a positive integer, got {layer_index!r}")
+    pivot = 2.0 * layer_index
     if not (blowup_time > pivot):
         raise ValueError(f"blowup_time must exceed {pivot}")
     seed = pseudo_conformal_field(

@@ -32,6 +32,7 @@ from .runio import write_events_jsonl, write_meta_json, write_series_csv, write_
 __all__ = ["RunSpec", "build_run", "initial_data", "resolve_config", "run_experiment"]
 
 _REQUIRED = ("model", "map", "profile", "grid", "dt_target", "t_end")
+_KNOWN = _REQUIRED + ("sample_every", "policy", "experiment", "title", "reference", "expected")
 
 
 def resolve_config(target: str | dict, overrides: dict | None = None) -> dict:
@@ -40,6 +41,7 @@ def resolve_config(target: str | dict, overrides: dict | None = None) -> dict:
     Overrides replace top-level values and merge into nested records one
     level deep.  A dict that names an `experiment` and lacks a required key
     is that catalog entry with the dict's other keys applied as overrides.
+    Raises ConfigError for a missing or an unknown top-level key.
     """
     if isinstance(target, dict) and "experiment" in target and not all(
             k in target for k in _REQUIRED):
@@ -59,6 +61,9 @@ def resolve_config(target: str | dict, overrides: dict | None = None) -> dict:
     missing = [k for k in _REQUIRED if k not in config]
     if missing:
         raise ConfigError(f"config is missing keys: {missing}")
+    unknown = [k for k in config if k not in _KNOWN]
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; allowed: {_KNOWN}")
     config.setdefault("sample_every", 10)
     config.setdefault("policy", {})
     return config
@@ -78,49 +83,48 @@ class RunSpec:
 
 
 def build_run(config: dict) -> RunSpec:
-    """Build the run objects of a resolved config; raises ConfigError for a
-    missing, mistyped or out-of-range field or an unknown policy key."""
+    """Build the run objects of a resolved config.
+
+    The model, grid and policy records are the keyword arguments of
+    `ModelSpec`, `make_grid` and `BlowupPolicy`, which validate them; the
+    map record goes to `DispersionMap.from_dict`.  Raises ConfigError for a
+    missing, unknown, mistyped or out-of-range field.
+    """
     try:
-        g = config["grid"]
         run = RunSpec(
-            model=ModelSpec(kind=config["model"]["kind"], p=config["model"].get("p")),
+            model=ModelSpec(**config["model"]),
             disp_map=DispersionMap.from_dict(config["map"]),
-            grid=make_grid(int(g["dim"]), float(g["half_width"]), int(g["n"])),
-            policy=BlowupPolicy(**{k: float(v) for k, v in config["policy"].items()}),
+            grid=make_grid(**config["grid"]),
+            policy=BlowupPolicy(**config["policy"]),
             dt_target=float(config["dt_target"]),
             t_end=float(config["t_end"]),
-            sample_every=int(config["sample_every"]),
+            sample_every=config["sample_every"],
         )
-    except (AttributeError, KeyError, TypeError, ValueError,
-            InvalidDimension, InvalidResolution) as exc:
+    except (KeyError, TypeError, ValueError, InvalidDimension, InvalidResolution) as exc:
         raise ConfigError(f"bad run configuration: {exc}") from exc
     if not all(math.isfinite(v) and v > 0 for v in (run.dt_target, run.t_end)):
         raise ConfigError("dt_target and t_end must be positive and finite")
-    if run.sample_every < 1:
-        raise ConfigError("sample_every must be >= 1")
+    if isinstance(run.sample_every, bool) or not (
+            isinstance(run.sample_every, int) and run.sample_every >= 1):
+        raise ConfigError(f"sample_every must be an integer >= 1, got {run.sample_every!r}")
     return run
 
 
 def initial_data(run: RunSpec, profile: dict) -> tuple[ComplexField, TrajectoryLog | None]:
     """The starting field of a run, with the construction log if it was built.
 
-    Closed-form kinds go to `field_from_record`, `backward_construction` to
-    `backward_blowup_data`.  Raises ConfigError for a malformed record.
+    Closed-form kinds go to `field_from_record`.  A `backward_construction`
+    record's other keys go to `backward_blowup_data` next to the run's
+    model, grid, `dt_target`, `sample_every` and policy.  Raises ConfigError
+    for a malformed record.
     """
     if not (isinstance(profile, dict) and profile.get("kind") == "backward_construction"):
         return field_from_record(run.grid, profile), None
+    params = {k: v for k, v in profile.items() if k != "kind"}
     try:
-        return backward_blowup_data(
-            model=run.model,
-            layer_index=int(profile["layer_index"]),
-            blowup_time=float(profile["blowup_time"]),
-            grid=run.grid,
-            omega=float(profile.get("omega", 1.0)),
-            dt_target=run.dt_target,
-            sample_every=run.sample_every,
-            policy=run.policy,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return backward_blowup_data(model=run.model, grid=run.grid, dt_target=run.dt_target,
+                                    sample_every=run.sample_every, policy=run.policy, **params)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad backward_construction profile {profile!r}: {exc}") from exc
 
 

@@ -142,18 +142,6 @@ class DispersionMap:
                 layers.append(Layer(a, b, gamma))
         return layers
 
-    def to_dict(self) -> dict:
-        d = {
-            "gamma_minus": self.gamma_minus,
-            "gamma_plus": self.gamma_plus,
-            "t_star": self.t_star,
-            "t_period": self.t_period,
-            "epsilon": self.epsilon,
-        }
-        if self.reversed_pivot is not None:
-            d["reversed_pivot"] = self.reversed_pivot
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "DispersionMap":
         """Build a map from its config record; raises ConfigError for an
@@ -163,11 +151,11 @@ class DispersionMap:
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown map keys: {unknown}")
-        # absent keys take the dataclass defaults; only reversed_pivot may be None
-        return cls(**{k: None if v is None and k == "reversed_pivot" else float(v)
-                      for k, v in d.items()})
+        # absent keys take the dataclass defaults; the cast keeps integer-valued
+        # JSON times and gammas printing as floats in the run's events
+        return cls(**{k: float(v) for k, v in d.items()})
 
 
 def normalized_map() -> DispersionMap:
     """The unit map: -1 on (0, 1], +1 on (1, 2], period 2."""
-    return DispersionMap(1.0, 1.0, 1.0, 2.0, 1.0)
+    return DispersionMap()

@@ -34,6 +34,14 @@ def ground_state_curve(y: np.ndarray) -> np.ndarray:
     return 3.0**0.25 / np.sqrt(np.cosh(2.0 * y))
 
 
+def _finite_field(grid: Grid, vals: np.ndarray, t: float = 0.0) -> ComplexField:
+    """Profile samples as a field; parameters that make them non-finite
+    (a NaN omega, an infinite amplitude) raise ValueError."""
+    if not np.isfinite(vals).all():
+        raise ValueError("profile parameters give a non-finite field")
+    return ComplexField(grid, vals, t)
+
+
 def ground_state_1d(grid: Grid, omega: float = 1.0, scale: float = 1.0) -> ComplexField:
     """scale * Q_omega on a 1D grid, where Q_omega(x) = omega^(1/2) Q(omega x).
 
@@ -45,8 +53,7 @@ def ground_state_1d(grid: Grid, omega: float = 1.0, scale: float = 1.0) -> Compl
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     x = grid.axis_coords()
-    vals = scale * np.sqrt(omega) * ground_state_curve(omega * x)
-    return ComplexField(grid, vals.astype(np.complex128), 0.0)
+    return _finite_field(grid, scale * np.sqrt(omega) * ground_state_curve(omega * x))
 
 
 def pseudo_conformal_field(
@@ -75,6 +82,8 @@ def pseudo_conformal_field(
         raise WrongDimension("pseudo_conformal_field needs a 1D grid")
     if omega <= 0.0:
         raise ValueError("omega must be positive")
+    if not isinstance(conjugate, bool):
+        raise TypeError(f"conjugate must be a boolean, got {conjugate!r}")
     tau = blowup_time - t
     if not (tau > 0.0):
         raise TimePastBlowup(f"t={t} is not before blowup_time={blowup_time}")
@@ -84,7 +93,7 @@ def pseudo_conformal_field(
     vals = amp * np.exp(1j * theta)
     if conjugate:
         vals = np.conj(vals)
-    return ComplexField(grid, vals, float(t))
+    return _finite_field(grid, vals, float(t))
 
 
 def sech_profile_2d(grid: Grid, amplitude: float, width: float) -> ComplexField:
@@ -95,43 +104,35 @@ def sech_profile_2d(grid: Grid, amplitude: float, width: float) -> ComplexField:
         raise ValueError("width must be positive")
     xm, ym = grid.meshes()
     r = np.sqrt(xm * xm + ym * ym)
-    vals = amplitude / np.cosh(r / width)
-    return ComplexField(grid, vals.astype(np.complex128), 0.0)
+    return _finite_field(grid, amplitude / np.cosh(r / width))
 
 
-# profile kinds that field_from_record evaluates in closed form
-CLOSED_FORM_KINDS = ("pseudo_conformal", "scaled_ground_state", "sech2d")
+# closed-form profile kinds; a record's other keys are the function's arguments
+_CLOSED_FORMS = {
+    "pseudo_conformal": pseudo_conformal_field,
+    "scaled_ground_state": ground_state_1d,
+    "sech2d": sech_profile_2d,
+}
+CLOSED_FORM_KINDS = tuple(_CLOSED_FORMS)
 
 
-def field_from_record(grid: Grid, record: dict, t: float = 0.0) -> ComplexField:
-    """Build initial data from a tagged profile record (config surface);
-    raises ConfigError for a malformed record or an unknown kind."""
+def field_from_record(grid: Grid, record: dict) -> ComplexField:
+    """Build t = 0 initial data from a tagged profile record (config surface).
+
+    The record is `kind` plus the keyword arguments of that kind's profile
+    function, so its keys and defaults are that function's.  Raises
+    ConfigError for an unknown kind or key, a bad value, or a `t` key
+    (initial data is always at t = 0).
+    """
     if not isinstance(record, dict):
         raise ConfigError(f"profile must be a record, got {record!r}")
     kind = record.get("kind")
+    if kind not in CLOSED_FORM_KINDS:
+        raise ConfigError(f"unknown profile kind: {kind!r}")
+    params = {k: v for k, v in record.items() if k != "kind"}
+    if "t" in params:
+        raise ConfigError(f"profile records have no 't': initial data is at t = 0, got {record!r}")
     try:
-        if kind == "pseudo_conformal":
-            return pseudo_conformal_field(
-                grid,
-                blowup_time=float(record["blowup_time"]),
-                omega=float(record.get("omega", 1.0)),
-                t=t,
-                x_shift=float(record.get("x_shift", 0.0)),
-                phase=float(record.get("phase", 0.0)),
-                conjugate=bool(record.get("conjugate", False)),
-            )
-        if kind == "scaled_ground_state":
-            return ground_state_1d(
-                grid,
-                omega=float(record.get("omega", 1.0)),
-                scale=float(record.get("scale", 1.0)),
-            )
-        if kind == "sech2d":
-            return sech_profile_2d(
-                grid,
-                amplitude=float(record["amplitude"]),
-                width=float(record["width"]),
-            )
-    except (KeyError, TypeError, ValueError, TimePastBlowup) as exc:
+        return _CLOSED_FORMS[kind](grid, **params)
+    except (TypeError, ValueError, TimePastBlowup) as exc:
         raise ConfigError(f"bad {kind} profile {record!r}: {exc}") from exc
-    raise ConfigError(f"unknown profile kind: {kind!r}")

@@ -92,6 +92,13 @@ def test_rejects_nonpositive_layer_index(grid1d, layer_index):
         backward_blowup_data(ModelSpec("nm"), layer_index, 2.5, grid1d)
 
 
+@pytest.mark.parametrize("layer_index", [1.0, 1.5, True, "1"])
+def test_rejects_non_integer_layer_index(grid1d, layer_index):
+    """A fractional layer must not be truncated to the layer below it."""
+    with pytest.raises(ValueError):
+        backward_blowup_data(ModelSpec("nm"), layer_index, 2.5, grid1d)
+
+
 @pytest.mark.parametrize("blowup_time", [2.0, 1.5])
 def test_rejects_blowup_time_inside_the_backward_window(grid1d, blowup_time):
     """T must lie strictly past t = 2n or the seed profile is meaningless."""

@@ -55,6 +55,15 @@ def test_resolve_config_rejects_incomplete_dict():
     assert "missing" in str(exc.value)
 
 
+def test_resolve_config_rejects_unknown_top_level_keys():
+    """A misspelled top-level key must not leave its default in force."""
+    with pytest.raises(ConfigError) as exc:
+        resolve_config("foc-first-layer-T0.5", {"dt_targt": 1e-3})
+    assert "dt_targt" in str(exc.value)
+    with pytest.raises(ConfigError):
+        resolve_config({"experiment": "foc-first-layer-T0.5", "sample_evry": 5})
+
+
 def test_resolve_config_rejects_wrong_type():
     with pytest.raises(ConfigError):
         resolve_config(42)

@@ -133,9 +133,11 @@ def test_reversed_partition_tiles_pivot_window():
 
 def test_dict_round_trip():
     m = DispersionMap(0.5, 1.5, 0.25, 1.0, 2.0)
-    assert DispersionMap.from_dict(m.to_dict()) == m
-    r = m.reverse(3.0)
-    assert DispersionMap.from_dict(r.to_dict()) == r
+    record = {"gamma_minus": 0.5, "gamma_plus": 1.5, "t_star": 0.25, "t_period": 1.0,
+              "epsilon": 2}
+    assert DispersionMap.from_dict(record) == m
+    assert DispersionMap.from_dict({**record, "reversed_pivot": 3}) == m.reverse(3.0)
+    assert DispersionMap.from_dict({}) == normalized_map()
 
 
 @pytest.mark.parametrize("record", [{"gamma_minu": 3.0}, {"t_star": 1.0, "period": 2.0}])

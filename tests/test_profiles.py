@@ -116,9 +116,10 @@ def test_sech2d_peak_and_dimension_guard():
 
 def test_field_from_record_dispatch(grid1d):
     rec = {"kind": "pseudo_conformal", "blowup_time": 2.5, "conjugate": True}
-    u = field_from_record(grid1d, rec, t=0.5)
-    ref = pseudo_conformal_field(grid1d, blowup_time=2.5, t=0.5, conjugate=True)
+    u = field_from_record(grid1d, rec)
+    ref = pseudo_conformal_field(grid1d, blowup_time=2.5, conjugate=True)
     assert np.array_equal(u.values, ref.values)
+    assert u.time == 0.0
 
     rec = {"kind": "scaled_ground_state", "scale": 1.03}
     u = field_from_record(grid1d, rec)
@@ -141,6 +142,21 @@ def test_field_from_record_unknown_kind(grid1d):
 def test_field_from_record_rejects_blowup_time_not_ahead(grid1d, blowup_time):
     with pytest.raises(ConfigError):
         field_from_record(grid1d, {"kind": "pseudo_conformal", "blowup_time": blowup_time})
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "pseudo_conformal", "blowup_time": 1.5, "omega": float("nan")},
+    {"kind": "pseudo_conformal", "blowup_time": 1.5, "x_shift": float("nan")},
+    {"kind": "pseudo_conformal", "blowup_time": 1.5, "phase": float("inf")},
+    {"kind": "scaled_ground_state", "scale": float("nan")},
+    {"kind": "scaled_ground_state", "omega": float("nan")},
+    {"kind": "sech2d", "amplitude": float("inf"), "width": 1.0},
+    {"kind": "sech2d", "amplitude": 1.0, "width": float("nan")},
+])
+def test_non_finite_profile_parameters_are_a_config_error(record):
+    grid = make_grid(2 if record["kind"] == "sech2d" else 1, half_width=6.0, n=64)
+    with pytest.raises(ConfigError):
+        field_from_record(grid, record)
 
 
 def test_curve_decays():

@@ -149,6 +149,7 @@ VALID = {
     "sample_every": 1,
     "policy": {},
 }
+_TOP_KEYS = (*VALID, "experiment", "title", "reference", "expected")
 _DROP = object()
 
 
@@ -183,6 +184,7 @@ _bad_model = st.one_of(
     st.builds(lambda k: {"kind": k}, st.text(max_size=4).filter(lambda k: k not in ("dm", "nm"))),
     st.builds(lambda p: {"kind": "nm", "p": p},
               st.one_of(_words, st.floats(max_value=1.0))),
+    st.builds(lambda k: {"kind": "nm", k: 3.0}, _words.filter(lambda k: k not in ("kind", "p"))),
 )
 _bad_map = st.one_of(
     _not_a_record,
@@ -200,7 +202,20 @@ _bad_grid = st.one_of(
     st.builds(lambda n: _with(VALID["grid"], "n", n),
               st.integers(max_value=10**6).filter(lambda n: n < 8 or n & (n - 1))),
     st.builds(lambda w: _with(VALID["grid"], "half_width", w), _bad_time),
+    st.builds(lambda k, v: _with(VALID["grid"], k, v), st.sampled_from(["dim", "n"]),
+              st.floats().filter(lambda v: not v.is_integer())),
+    st.builds(lambda k: _with(VALID["grid"], k, 64), _words.filter(lambda k: k not in VALID["grid"])),
 )
+_GOOD_PROFILES = (
+    {"kind": "pseudo_conformal", "blowup_time": 1.5},
+    {"kind": "scaled_ground_state"},
+    {"kind": "backward_construction", "layer_index": 1, "blowup_time": 2.5},
+)
+_PROFILE_KEYS = ("kind", "blowup_time", "omega", "x_shift", "phase", "conjugate", "scale",
+                 "amplitude", "width", "layer_index")
+# (record, key) pairs whose value is a float parameter of the profile
+_FLOAT_PARAMS = [(_GOOD_PROFILES[0], k) for k in ("omega", "x_shift", "phase")] + [
+    (_GOOD_PROFILES[1], k) for k in ("omega", "scale")] + [(_GOOD_PROFILES[2], "omega")]
 _bad_profile = st.one_of(
     _not_a_record,
     st.builds(lambda k: {"kind": k}, st.text(max_size=12).filter(lambda k: k not in (
@@ -221,6 +236,14 @@ _bad_profile = st.one_of(
     st.builds(lambda n, t: {"kind": "backward_construction", "layer_index": n,
                             "blowup_time": 2.0 * n - t},
               st.integers(1, 4), st.floats(0.0, 10.0)),
+    st.builds(lambda n: {"kind": "backward_construction", "layer_index": n, "blowup_time": 2.5},
+              st.floats()),
+    st.builds(lambda rec, k: {**rec, k: 1.0}, st.sampled_from(_GOOD_PROFILES),
+              _words.filter(lambda k: k not in _PROFILE_KEYS)),
+    st.builds(lambda param, v: {**param[0], param[1]: v}, st.sampled_from(_FLOAT_PARAMS),
+              st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.builds(lambda c: {"kind": "pseudo_conformal", "blowup_time": 1.5, "conjugate": c},
+              st.one_of(_not_a_record, st.integers())),
 )
 _bad_policy = st.one_of(
     _not_a_record,
@@ -239,8 +262,9 @@ _mutations = st.one_of(
     st.tuples(st.just("grid"), _bad_grid),
     st.tuples(st.sampled_from(["dt_target", "t_end"]), _bad_time),
     st.tuples(st.just("sample_every"),
-              st.one_of(_not_a_number, st.integers(max_value=0))),
+              st.one_of(_not_a_number, st.integers(max_value=0), st.floats(), st.booleans())),
     st.tuples(st.just("policy"), _bad_policy),
+    st.tuples(_words.filter(lambda k: k not in _TOP_KEYS), st.just(1.0)),
 )
 
 
@@ -271,6 +295,18 @@ def test_valid_config_runs():
 @example(("policy", {"amplitude_factor": math.nan}))
 @example(("map", {**VALID["map"], "gamma_minu": 3.0}))
 @example(("profile", {"kind": "pseudo_conformal", "blowup_time": 0.0}))
+@example(("profile", {"kind": "scaled_ground_state", "omgea": 2.0}))
+@example(("profile", {"kind": "pseudo_conformal", "blowup_time": 1.5, "t": 0.5}))
+@example(("model", {"kind": "dm", "pp": 3}))
+@example(("grid", {**VALID["grid"], "nn": 128}))
+@example(("grid", {**VALID["grid"], "n": 1024.7}))
+@example(("grid", {**VALID["grid"], "dim": 1.9}))
+@example(("profile", {"kind": "pseudo_conformal", "blowup_time": 1.5, "conjugate": "false"}))
+@example(("profile", {"kind": "pseudo_conformal", "blowup_time": 1.5, "omega": math.nan}))
+@example(("profile", {"kind": "backward_construction", "layer_index": 1, "blowup_time": 2.5,
+                      "omega": math.nan}))
+@example(("dt_targt", 0.001))
+@example(("sample_every", 2.7))
 def test_malformed_run_config_is_a_config_error(mutation):
     key, value = mutation
     code, err = _run_config(_with(VALID, key, value))
