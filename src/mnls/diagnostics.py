@@ -43,7 +43,7 @@ SERIES_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagnosticsSample:
     t: float
     layer_gamma: float

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check behind
+the config errors."""
+
+import numbers
+
+
+def is_real(value) -> bool:
+    """Whether a config value is a real number: JSON true and "2" are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class MnlsError(Exception):

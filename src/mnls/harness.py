@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .catalog import catalog_entry
 from .constructor import backward_blowup_data
-from .errors import BlowupDuringConstruction, ConfigError, InvalidDimension, InvalidResolution
+from .errors import (BlowupDuringConstruction, ConfigError, InvalidDimension, InvalidResolution,
+                     is_real)
 from .lattice import ComplexField, Grid, make_grid
 from .mgmt_map import DispersionMap
 from .plotting import emit_plot
@@ -102,8 +103,9 @@ def build_run(config: dict) -> RunSpec:
         )
     except (KeyError, TypeError, ValueError, InvalidDimension, InvalidResolution) as exc:
         raise ConfigError(f"bad run configuration: {exc}") from exc
-    if not all(math.isfinite(v) and v > 0 for v in (run.dt_target, run.t_end)):
-        raise ConfigError("dt_target and t_end must be positive and finite")
+    if not all(is_real(v) and math.isfinite(v) and v > 0
+               for v in (config["dt_target"], config["t_end"])):
+        raise ConfigError("dt_target and t_end must be positive, finite real numbers")
     if isinstance(run.sample_every, bool) or not (
             isinstance(run.sample_every, int) and run.sample_every >= 1):
         raise ConfigError(f"sample_every must be an integer >= 1, got {run.sample_every!r}")

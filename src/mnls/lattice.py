@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidResolution
+from .errors import InvalidDimension, InvalidResolution, is_real
 
 __all__ = ["Grid", "ComplexField", "make_grid", "spectral_gradient"]
 
@@ -104,12 +104,12 @@ def make_grid(dim: int, half_width: float, n: int) -> Grid:
     Raises InvalidDimension unless dim is 1 or 2, and InvalidResolution
     unless n is a power of two >= 8.
     """
-    if dim not in (1, 2):
+    if not is_real(dim) or dim not in (1, 2):
         raise InvalidDimension(f"dim must be 1 or 2, got {dim}")
     if not isinstance(n, (int, np.integer)) or n < 8 or not _is_power_of_two(int(n)):
         raise InvalidResolution(f"n must be a power of two >= 8, got {n}")
-    if not (half_width > 0.0 and np.isfinite(half_width)):
-        raise ValueError(f"half_width must be positive and finite, got {half_width}")
+    if not (is_real(half_width) and half_width > 0.0 and np.isfinite(half_width)):
+        raise ValueError(f"half_width must be a positive, finite real number, got {half_width}")
     return Grid(dim=int(dim), half_width=float(half_width), n=int(n))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWindow, NegativeTime
+from .errors import ConfigError, EmptyWindow, NegativeTime, is_real
 
 __all__ = ["DispersionMap", "normalized_map", "Layer"]
 
@@ -145,12 +145,16 @@ class DispersionMap:
     @classmethod
     def from_dict(cls, d: dict) -> "DispersionMap":
         """Build a map from its config record; raises ConfigError for an
-        unknown key, so a misspelled parameter cannot fall back to a default."""
+        unknown key, so a misspelled parameter cannot fall back to a default,
+        and for a value that is not a real number."""
         if not isinstance(d, dict):
             raise ConfigError(f"map must be a record, got {d!r}")
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown map keys: {unknown}")
+        not_real = sorted(k for k, v in d.items() if not is_real(v))
+        if not_real:
+            raise ConfigError(f"map values must be real numbers: {not_real}")
         # absent keys take the dataclass defaults; the cast keeps integer-valued
         # JSON times and gammas printing as floats in the run's events
         return cls(**{k: float(v) for k, v in d.items()})

@@ -44,6 +44,7 @@ def emit_plot(series_path: str | Path, column: str, out_path: str | Path) -> Non
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 
+    # both maps take a tick value or a whole column
     def px(tv):
         return _ML + (tv - tlo) / (thi - tlo) * (_W - _ML - _MR)
 
@@ -81,7 +82,7 @@ def emit_plot(series_path: str | Path, column: str, out_path: str | Path) -> Non
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
-    pts = " ".join(f"{px(tv):.2f},{py(yv):.2f}" for tv, yv in zip(t, y))
+    pts = " ".join(f"{tx:.2f},{ty:.2f}" for tx, ty in zip(px(t).tolist(), py(y).tolist()))
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.3"/>'
     )

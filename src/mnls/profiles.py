@@ -34,6 +34,12 @@ def ground_state_curve(y: np.ndarray) -> np.ndarray:
     return 3.0**0.25 / np.sqrt(np.cosh(2.0 * y))
 
 
+# Every profile function below evaluates under _QUIET and ends in
+# _finite_field: a parameter that overflows or meets inf*0 raises ValueError
+# there, which callers report as a config error, so numpy need not warn first.
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _finite_field(grid: Grid, vals: np.ndarray, t: float = 0.0) -> ComplexField:
     """Profile samples as a field; parameters that make them non-finite
     (a NaN omega, an infinite amplitude) raise ValueError."""
@@ -42,6 +48,7 @@ def _finite_field(grid: Grid, vals: np.ndarray, t: float = 0.0) -> ComplexField:
     return ComplexField(grid, vals, t)
 
 
+@_QUIET
 def ground_state_1d(grid: Grid, omega: float = 1.0, scale: float = 1.0) -> ComplexField:
     """scale * Q_omega on a 1D grid, where Q_omega(x) = omega^(1/2) Q(omega x).
 
@@ -56,6 +63,7 @@ def ground_state_1d(grid: Grid, omega: float = 1.0, scale: float = 1.0) -> Compl
     return _finite_field(grid, scale * np.sqrt(omega) * ground_state_curve(omega * x))
 
 
+@_QUIET
 def pseudo_conformal_field(
     grid: Grid,
     blowup_time: float,
@@ -96,6 +104,7 @@ def pseudo_conformal_field(
     return _finite_field(grid, vals, float(t))
 
 
+@_QUIET
 def sech_profile_2d(grid: Grid, amplitude: float, width: float) -> ComplexField:
     """Radial bump A * sech(|x|/w) on a 2D grid."""
     if grid.dim != 2:

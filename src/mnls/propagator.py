@@ -16,7 +16,8 @@ each layer gets its own uniform step dividing its length.
 
 The stepping is fused and buffered.  Each run owns three field-sized
 buffers: the field, a phase factor and one real array holding |u|^2 and
-then the kick exponent |u|^(p-1).  The sweep runs in place, and the |u|^2
+then the kick exponent |u|^(p-1); a fourth holds the symbol of the current
+layer, rebuilt in place.  The sweep runs in place, and the |u|^2
 taken after it serves both the amplitude check and the next kick, since
 a kick is a pure phase rotation.  The trailing half-kick of one step and
 the leading half-kick of the next are one full kick, split only at sample
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DiagnosticsSample, layer_energy, sample_diagnostics
-from .errors import NonFiniteState
+from .errors import NonFiniteState, is_real
 from .lattice import ComplexField, Grid
 from .mgmt_map import DispersionMap, Layer
 
@@ -82,8 +83,9 @@ class BlowupPolicy:
         # a NaN threshold would make every comparison false and switch detection off
         for name in ("amplitude_factor", "mass_drift_tol", "amplitude_ceiling"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"policy {name} must be positive and finite, got {value!r}")
+            if not (is_real(value) and math.isfinite(value) and value > 0.0):
+                raise ValueError(f"policy {name} must be a positive, finite real number, "
+                                 f"got {value!r}")
 
     def cap_for(self, linf0: float) -> float:
         return min(self.amplitude_factor * linf0, self.amplitude_ceiling)
@@ -250,6 +252,7 @@ def evolve(
     p = model.resolve_p(grid.dim)
     layers = disp_map.layer_partition(t_begin, t_end)
     lap = grid.laplacian_symbol()
+    mult = np.empty(lap.shape, dtype=np.complex128)  # the current layer's symbol
 
     st = _Stepper(u0.values, p)
     cap = policy.cap_for(math.sqrt(st.modulus()))
@@ -264,7 +267,8 @@ def evolve(
         steps = _steps_for(layer.length, dt_target)
         dt = layer.length / steps
         rec.enter(layer, dt, steps)
-        mult = np.exp(-1j * a * dt * lap)
+        np.multiply(lap, -1j * a * dt, out=mult)
+        np.exp(mult, out=mult)
         half = b * dt / 2.0
         st.kick(half)
         for s in range(1, steps + 1):

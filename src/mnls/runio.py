@@ -1,8 +1,9 @@
 """Run artifacts on disk: series CSV, event log, metadata, field snapshots.
 
-Every writer goes through a temp-file-plus-rename so a crash never leaves
-a half-written artifact, and all float formatting uses Python's shortest
-round-trip repr so reruns of the same configuration are byte-identical.
+Every writer goes through one temp-file-plus-rename context, so a crash
+never leaves a half-written artifact; series.csv is streamed through it
+row by row.  All float formatting uses Python's shortest round-trip repr
+so reruns of the same configuration are byte-identical.
 
 Snapshot layout (all little-endian):
 
@@ -21,7 +22,11 @@ import json
 import os
 import struct
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -44,12 +49,15 @@ SNAPSHOT_MAGIC = b"MNLS"
 SNAPSHOT_VERSION = 1
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+@contextmanager
+def _atomic_file(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """Open a temp file next to `path`; rename it onto `path` when the block
+    ends normally and unlink it when the block raises."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -57,6 +65,11 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -104,37 +117,38 @@ def _fmt(x: float) -> str:
 
 
 def write_series_csv(path: str | Path, samples) -> None:
-    lines = [",".join(SERIES_COLUMNS)]
-    for s in samples:
-        lines.append(",".join(_fmt(v) for v in s.as_row()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Stream one header line and one row per sample, each cell a shortest repr."""
+    with _atomic_file(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(SERIES_COLUMNS) + "\n")
+        fh.writelines(",".join(map(_fmt, s.as_row())) + "\n" for s in samples)
 
 
 def read_series_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Columns of a series file as float arrays, keyed by header name.
 
-    Raises UnreadableSeries for a file that cannot be read, a row whose
-    cell count differs from the header's and a cell that is not a number.
+    Blank lines are skipped.  Raises EmptySeries for a file without a header
+    or data rows, and UnreadableSeries for a file that cannot be read, a row
+    whose cell count differs from the header's and a cell that is not a
+    decimal number (numpy's parser also refuses Python's `1_000` and hex).
     """
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path) as fh:
+            lines = (ln for ln in fh if ln.strip())
+            header = next(lines, None)
+            if header is None:
+                raise EmptySeries(f"{path}: no header")
+            first = next(lines, None)
+            if first is None:
+                # checked here: np.loadtxt warns on empty input
+                raise EmptySeries(f"{path}: header only, no data rows")
+            table = np.loadtxt(chain([first], lines), delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError) as exc:
         raise UnreadableSeries(f"cannot read series {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise EmptySeries(f"{path}: no header")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if not rows:
-        raise EmptySeries(f"{path}: header only, no data rows")
-    for i, r in enumerate(rows, start=1):
-        if len(r) != len(header):
-            raise UnreadableSeries(f"{path}: data row {i} has {len(r)} cells where "
-                                   f"the header has {len(header)}")
-    try:
-        return {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(header)}
-    except ValueError as exc:
-        raise UnreadableSeries(f"{path}: {exc}") from exc
+    names = header.rstrip("\n").split(",")
+    if table.shape[1] != len(names):
+        raise UnreadableSeries(f"{path}: data rows have {table.shape[1]} cells where "
+                               f"the header has {len(names)}")
+    return {name: table[:, j] for j, name in enumerate(names)}
 
 
 def require_column(cols: dict[str, np.ndarray], name: str, path="series") -> np.ndarray:

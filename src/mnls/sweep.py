@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import period_peaks
-from .errors import ConfigError, MnlsError
+from .errors import ConfigError, MnlsError, is_real
 from .harness import build_run, resolve_config
 from .profiles import CLOSED_FORM_KINDS, field_from_record
 from .propagator import evolve
@@ -111,9 +110,8 @@ def sweep_manageability(
     for key, vals in axes.items():
         if key not in _AXIS_KEYS:
             raise ConfigError(f"unknown sweep axis {key!r}; allowed: {_AXIS_KEYS}")
-        if not (isinstance(vals, (list, tuple)) and vals and all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-                for v in vals)):
+        if not (isinstance(vals, (list, tuple)) and vals
+                and all(is_real(v) and math.isfinite(v) for v in vals)):
             raise ConfigError(f"sweep axis {key!r} needs a non-empty list of finite numbers, "
                               f"got {vals!r}")
     names = list(axes)

@@ -2,13 +2,16 @@
 
 import json
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import mnls.constructor
+from mnls.diagnostics import SERIES_COLUMNS, DiagnosticsSample
 from mnls.errors import (BlowupDuringConstruction, ConfigError, CorruptSnapshot, EmptySeries,
-                         MissingColumn, MnlsError)
+                         MissingColumn, MnlsError, UnreadableSeries)
 from mnls.harness import build_run, initial_data, resolve_config, run_experiment
 from mnls.lattice import ComplexField, make_grid
 from mnls.plotting import emit_plot
@@ -283,15 +286,100 @@ def test_series_csv_round_trip(tmp_path):
         require_column(cols, "entropy")
 
 
-def test_series_csv_empty_errors(tmp_path):
+def test_series_csv_empty_errors(tmp_path, capfd):
     p1 = tmp_path / "empty.csv"
     p1.write_text("")
     with pytest.raises(EmptySeries):
         read_series_csv(p1)
     p2 = tmp_path / "header.csv"
     p2.write_text("t,linf\n")
-    with pytest.raises(EmptySeries):
-        read_series_csv(p2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EmptySeries):
+            read_series_csv(p2)
+    assert [str(w.message) for w in caught] == []
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text, error", [
+    ("t,linf\n0.0,1.0\n0.5\n0.7,1.0,2.0\n", UnreadableSeries),
+    ("t,linf\n0.0,1.0,2.0\n0.5,1.0,2.0\n", UnreadableSeries),
+    ("t,linf\n0.0,1.0,\n", UnreadableSeries),
+    ("t,linf\n0.0,\n", UnreadableSeries),
+    ("t,linf\n0.0,high\n", UnreadableSeries),
+    ("t,linf\n0x1p3,1.0\n", UnreadableSeries),
+    ("t,linf\n# note\n0.0,1.0\n", UnreadableSeries),
+    ("t,linf\n1_000,1.0\n", UnreadableSeries),
+    ("t,linf\n", EmptySeries),
+    ("", EmptySeries),
+], ids=["ragged-row", "rows-wider-than-header", "trailing-comma", "empty-cell", "word", "hex",
+        "hash-line", "underscore-digits", "header-only", "empty-file"])
+def test_malformed_series_file_errors(tmp_path, text, error):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    with pytest.raises(error):
+        read_series_csv(path)
+
+
+def test_series_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("\nt,linf\n0.0,1.0\n\n  \n0.5,2.0\n\n")
+    cols = read_series_csv(path)
+    assert cols["t"].tolist() == [0.0, 0.5]
+    assert cols["linf"].tolist() == [1.0, 2.0]
+
+
+# A 20,000-row series; its numeric table is rows * 9 columns * 8 bytes = 1.44 MB.
+# Building each artifact should cost a small multiple of that table, not of
+# the ~3.6 MB of CSV text.
+_GUARD_ROWS = 20_000
+_GUARD_TABLE = _GUARD_ROWS * len(SERIES_COLUMNS) * 8
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_series(tmp_path_factory):
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((_GUARD_ROWS, len(SERIES_COLUMNS))) * np.logspace(-3, 3, 9)
+    samples = [DiagnosticsSample(*row) for row in table.tolist()]
+    path = tmp_path_factory.mktemp("long") / "series.csv"
+    write_series_csv(path, samples)
+    return samples, path
+
+
+def test_series_writer_memory_is_bounded(long_series, tmp_path):
+    samples, _ = long_series
+    assert _traced_peak(write_series_csv, tmp_path / "series.csv", samples) < _GUARD_TABLE
+
+
+def test_emit_plot_points_match_the_pointwise_map(long_series, tmp_path):
+    _, path = long_series
+    emit_plot(path, "energy", tmp_path / "energy.svg")
+    svg = (tmp_path / "energy.svg").read_text()
+    points = svg.split('<polyline points="', 1)[1].split('"', 1)[0]
+    cols = read_series_csv(path)
+    t, y = cols["t"], cols["energy"]
+    tlo, thi = float(np.min(t)), float(np.max(t))
+    ylo, yhi = float(np.min(y)), float(np.max(y))
+    pad = 0.05 * (yhi - ylo)
+    ylo, yhi = ylo - pad, yhi + pad
+    # the reference: the plot's pixel map applied one value at a time
+    want = " ".join(f"{72 + (tv - tlo) / (thi - tlo) * 632:.2f},"
+                    f"{440 - 48 - (yv - ylo) / (yhi - ylo) * 364:.2f}" for tv, yv in zip(t, y))
+    assert points == want
+
+
+def test_emit_plot_memory_is_bounded(long_series, tmp_path):
+    _, path = long_series
+    assert _traced_peak(emit_plot, path, "linf", tmp_path / "linf.svg") < 4 * _GUARD_TABLE
 
 
 def test_emit_plot_is_deterministic(tmp_path):

@@ -1,11 +1,12 @@
 """Property tests: layer tiling, map reversal, the config merge rule,
-snapshot round trips, and the clean rejection of malformed input on the
-command line."""
+snapshot and series round trips, and the clean rejection of malformed
+input on the command line."""
 
 import io
 import json
 import math
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,11 +18,12 @@ from hypothesis.extra.numpy import arrays
 
 from mnls.catalog import catalog_ids
 from mnls.cli import main
+from mnls.diagnostics import SERIES_COLUMNS, DiagnosticsSample
 from mnls.errors import MnlsError
 from mnls.harness import resolve_config
 from mnls.lattice import ComplexField, make_grid
 from mnls.mgmt_map import DispersionMap
-from mnls.runio import read_snapshot, write_snapshot
+from mnls.runio import read_series_csv, read_snapshot, write_series_csv, write_snapshot
 
 # -- management maps -----------------------------------------------------------
 
@@ -136,6 +138,23 @@ def test_truncated_snapshot_is_a_package_error(u, data):
             read_snapshot(path)
 
 
+# -- series files ----------------------------------------------------------------
+
+
+@given(st.lists(st.tuples(*[st.floats()] * len(SERIES_COLUMNS)), min_size=1, max_size=30))
+def test_series_csv_round_trip_is_bitwise(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        write_series_csv(path, [DiagnosticsSample(*row) for row in rows])
+        cols = read_series_csv(path)
+    assert list(cols) == list(SERIES_COLUMNS)
+    want = np.array(rows, dtype=np.float64)
+    got = np.column_stack([cols[name] for name in SERIES_COLUMNS])
+    nan = np.isnan(want)  # a NaN's sign and payload are not written, only "nan"
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 # -- malformed run configs on the command line ------------------------------------
 
 VALID = {
@@ -166,7 +185,10 @@ _not_a_record = st.one_of(st.none(), st.integers(), st.floats(allow_nan=False), 
                           st.lists(st.integers(), max_size=3))
 _not_a_number = st.one_of(st.none(), _words, st.lists(st.integers(), max_size=3))
 _not_positive = st.floats(max_value=0.0)
-_bad_time = st.one_of(_not_a_number, _not_positive, st.sampled_from([math.nan, math.inf]))
+# JSON true and "2" are not numbers, though Python compares and casts them as ones
+_number_lookalikes = st.one_of(st.booleans(), st.floats(allow_nan=False).map(repr))
+_bad_time = st.one_of(_not_a_number, _not_positive, _number_lookalikes,
+                      st.sampled_from([math.nan, math.inf]))
 
 
 def _with(record: dict, key: str, value) -> dict:
@@ -190,14 +212,14 @@ _bad_map = st.one_of(
     _not_a_record,
     st.builds(_with, st.just(VALID["map"]),
               st.sampled_from(["gamma_minus", "gamma_plus", "epsilon"]),
-              st.one_of(_words, _not_positive)),
+              st.one_of(_words, _not_positive, _number_lookalikes)),
     st.builds(lambda ts: _with(VALID["map"], "t_star", ts), st.floats(min_value=2.0)),
     st.builds(lambda k: _with(VALID["map"], k, 1.0), _words.filter(lambda k: k not in VALID["map"])),
 )
 _bad_grid = st.one_of(
     _not_a_record,
     st.builds(_with, st.just(VALID["grid"]), st.sampled_from(["dim", "half_width", "n"]),
-              st.one_of(st.just(_DROP), _not_a_number)),
+              st.one_of(st.just(_DROP), _not_a_number, _number_lookalikes)),
     st.builds(lambda d: _with(VALID["grid"], "dim", d), st.integers().filter(lambda d: d not in (1, 2))),
     st.builds(lambda n: _with(VALID["grid"], "n", n),
               st.integers(max_value=10**6).filter(lambda n: n < 8 or n & (n - 1))),
@@ -307,12 +329,34 @@ def test_valid_config_runs():
                       "omega": math.nan}))
 @example(("dt_targt", 0.001))
 @example(("sample_every", 2.7))
+@example(("grid", {**VALID["grid"], "dim": True}))
+@example(("grid", {**VALID["grid"], "half_width": True}))
+@example(("policy", {"amplitude_factor": True}))
+@example(("map", {**VALID["map"], "epsilon": True}))
+@example(("map", {**VALID["map"], "epsilon": "2"}))
+@example(("dt_target", "0.01"))
 def test_malformed_run_config_is_a_config_error(mutation):
     key, value = mutation
     code, err = _run_config(_with(VALID, key, value))
     assert code == 1, err
     assert err.startswith("config error:"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "pseudo_conformal", "blowup_time": 1.5, "phase": math.inf},
+    {"kind": "pseudo_conformal", "blowup_time": 1.5, "omega": math.inf},
+    {"kind": "scaled_ground_state", "omega": math.inf},
+    {"kind": "backward_construction", "layer_index": 1, "blowup_time": 2.5, "omega": math.inf},
+], ids=["pseudo-conformal-phase", "pseudo-conformal-omega", "ground-state-omega",
+        "backward-omega"])
+def test_non_finite_profile_reports_only_the_config_error(profile):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run_config(_with(VALID, "profile", profile))
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
 @settings(max_examples=30, deadline=None)
