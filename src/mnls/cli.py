@@ -2,7 +2,7 @@
 
 Verbs:
     run        run a catalog experiment or a JSON config file
-    construct  build backward-constructed initial data and save it
+    construct  run the same target only up to its backward-constructed initial data
     sweep      grade a map-parameter product for manageability
     plot       render one series column to SVG
     list       show the experiment catalog
@@ -19,10 +19,9 @@ import sys
 from pathlib import Path
 
 from .catalog import CATALOG, catalog_ids
-from .errors import BlowupDuringConstruction, ConfigError, MnlsError, NonFiniteState
-from .harness import build_run, initial_data, resolve_config, run_experiment
+from .errors import ConfigError, MnlsError, NonFiniteState
+from .harness import construct_experiment, run_experiment
 from .plotting import emit_plot
-from .runio import write_series_csv, write_snapshot
 from .sweep import ManageabilityCriterion, sweep_manageability
 
 
@@ -34,7 +33,8 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _cmd_run(args) -> int:
+def _target_and_overrides(args) -> tuple[str | dict, dict | None]:
+    """The positional target (a catalog id or a JSON config) and the flags' overrides."""
     target = args.target
     if target.endswith(".json") or Path(target).is_file():
         target = _load_json(target)
@@ -44,60 +44,44 @@ def _cmd_run(args) -> int:
                  if v is not None}
     if grid_over:
         overrides["grid"] = grid_over
-    summary = run_experiment(target, args.out, overrides or None)
-    print(f"status: {summary['status']}")
+    return target, overrides or None
+
+
+def _report(summary: dict) -> int:
+    status = summary["status"]
+    if "u0" in summary:
+        status += f", mass={summary['u0'].mass():.9g}"
+    print(f"status: {status}")
     if summary.get("t_detect") is not None:
         print(f"t_detect: {summary['t_detect']:.6g}")
     print(f"artifacts: {summary['out_dir']}")
     return 0
 
 
+def _cmd_run(args) -> int:
+    target, overrides = _target_and_overrides(args)
+    return _report(run_experiment(target, args.out, overrides))
+
+
 def _cmd_construct(args) -> int:
-    # the run the constructed data is meant for: the unit map (the map
-    # defaults) up to its blowup
-    config = resolve_config({
-        "model": {"kind": args.kind}, "map": {},
-        "profile": {"kind": "backward_construction", "layer_index": args.layer,
-                    "blowup_time": args.blowup_time, "omega": args.omega},
-        "grid": {"dim": 1, "half_width": args.half_width, "n": args.n},
-        "dt_target": args.dt, "t_end": args.blowup_time,
-        "policy": {"amplitude_factor": args.amplitude_factor},
-    })
-    run = build_run(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        u0, aux_log = initial_data(run, config["profile"])
-    except BlowupDuringConstruction as exc:
-        write_series_csv(out / "construction.csv", exc.log.samples)
-        print(f"status: blowup_during_construction at t={exc.t_detect:.6g}")
-        print(f"partial record: {out / 'construction.csv'}")
-        return 0
-    write_snapshot(out / "u0.mnls", u0)
-    write_series_csv(out / "construction.csv", aux_log.samples)
-    print(f"status: constructed, mass={u0.mass():.9g}")
-    print(f"artifacts: {out}")
-    return 0
+    target, overrides = _target_and_overrides(args)
+    return _report(construct_experiment(target, args.out, overrides))
 
 
 def _cmd_sweep(args) -> int:
     plan = _load_json(args.config)
     try:
-        base, axes, crit = plan["base"], plan["axes"], plan["criterion"]
-        unknown = sorted(set(crit) - {"peak_floor", "sup_cap"})
-        if unknown:
-            raise ConfigError(f"unknown criterion keys {unknown}: a criterion takes peak_floor "
-                              "and sup_cap, and the sweep runs each cell to base.t_end")
-        criterion = ManageabilityCriterion(float(crit["peak_floor"]), float(crit["sup_cap"]))
+        base, axes = plan["base"], plan["axes"]
+        criterion = ManageabilityCriterion(**plan["criterion"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep config needs base/axes/criterion: {exc}") from exc
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = sweep_manageability(base, axes, criterion, out / "sweep.csv",
+        raise ConfigError(f"bad sweep config: {exc} (a sweep config holds base, axes and "
+                          "criterion; a criterion takes peak_floor and sup_cap, and each cell "
+                          "runs to base.t_end)") from exc
+    rows = sweep_manageability(base, axes, criterion, Path(args.out) / "sweep.csv",
                                max_workers=args.workers)
     good = sum(1 for r in rows if r["manageable"])
     print(f"cells: {len(rows)}, manageable: {good}")
-    print(f"table: {out / 'sweep.csv'}")
+    print(f"table: {Path(args.out) / 'sweep.csv'}")
     return 0
 
 
@@ -119,30 +103,21 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("run", help="run an experiment")
-    p.add_argument("target", help="catalog id or JSON config path")
-    p.add_argument("--out", default="runs/out", help="output directory")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None, help="nodes per axis")
-    p.add_argument("--half-width", type=float, default=None, dest="half_width",
-                   help="domain half width L")
-    p.add_argument("--sample-every", type=int, default=None, dest="sample_every")
-    p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("construct", help="backward-construct initial data")
-    p.add_argument("--kind", choices=("nm", "dm"), default="nm")
-    p.add_argument("--layer", type=int, required=True, help="target layer index n")
-    p.add_argument("--blowup-time", type=float, required=True, dest="blowup_time")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--half-width", type=float, default=12 * 3.141592653589793,
-                   dest="half_width")
-    p.add_argument("--n", type=int, default=2048)
-    p.add_argument("--dt", type=float, default=5e-4)
-    p.add_argument("--amplitude-factor", type=float, default=8.0,
-                   dest="amplitude_factor")
-    p.add_argument("--out", default="runs/construct")
-    p.set_defaults(fn=_cmd_construct)
+    # run and construct take one target and one set of overrides
+    for verb, fn, out, text in (
+            ("run", _cmd_run, "runs/out", "run an experiment"),
+            ("construct", _cmd_construct, "runs/construct",
+             "backward-construct an experiment's initial data")):
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("target", help="catalog id or JSON config path")
+        p.add_argument("--out", default=out, help="output directory")
+        p.add_argument("--t-end", type=float, default=None, dest="t_end")
+        p.add_argument("--dt", type=float, default=None)
+        p.add_argument("--grid", type=int, default=None, help="nodes per axis")
+        p.add_argument("--half-width", type=float, default=None, dest="half_width",
+                       help="domain half width L")
+        p.add_argument("--sample-every", type=int, default=None, dest="sample_every")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("sweep", help="manageability sweep over map parameters")
     p.add_argument("config", help="JSON file with base, axes, criterion")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BlowupDuringConstruction
+from .errors import BlowupDuringConstruction, is_real
 from .lattice import ComplexField, Grid
 from .mgmt_map import normalized_map
 from .profiles import pseudo_conformal_field
@@ -62,6 +62,8 @@ def backward_blowup_data(
     """
     if isinstance(layer_index, bool) or not (isinstance(layer_index, int) and layer_index >= 1):
         raise ValueError(f"layer_index must be a positive integer, got {layer_index!r}")
+    if not is_real(blowup_time):
+        raise TypeError(f"blowup_time must be a real number, got {blowup_time!r}")
     pivot = 2.0 * layer_index
     if not (blowup_time > pivot):
         raise ValueError(f"blowup_time must exceed {pivot}")

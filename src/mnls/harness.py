@@ -5,8 +5,10 @@ run takes one path: `resolve_config` expands it, `build_run` turns it into
 model/map/grid/policy objects, `initial_data` turns its profile record into
 the starting field, `evolve` marches that field, and one writer puts
 series.csv, events.jsonl, meta.json and two SVG plots into the output
-directory next to the field snapshots.  Reruns of the same configuration
-are byte-identical in series.csv.
+directory next to the field snapshots.  `construct_experiment` takes the
+same path up to the initial data, with the same artifacts for a
+constructed field or a failed construction.  Reruns of the same
+configuration are byte-identical in series.csv.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import __version__
 from .catalog import catalog_entry
 from .constructor import backward_blowup_data
 from .errors import (BlowupDuringConstruction, ConfigError, InvalidDimension, InvalidResolution,
-                     is_real)
+                     WrongDimension, is_real)
 from .lattice import ComplexField, Grid, make_grid
 from .mgmt_map import DispersionMap
 from .plotting import emit_plot
@@ -30,10 +32,11 @@ from .profiles import field_from_record
 from .propagator import BlowupPolicy, ModelSpec, TrajectoryLog, evolve
 from .runio import write_events_jsonl, write_meta_json, write_series_csv, write_snapshot
 
-__all__ = ["RunSpec", "build_run", "initial_data", "resolve_config", "run_experiment"]
+__all__ = ["RunSpec", "build_run", "construct_experiment", "initial_data", "resolve_config",
+           "run_experiment"]
 
 _REQUIRED = ("model", "map", "profile", "grid", "dt_target", "t_end")
-_KNOWN = _REQUIRED + ("sample_every", "policy", "experiment", "title", "reference", "expected")
+_KNOWN = _REQUIRED + ("sample_every", "policy", "experiment", "title", "expected")
 
 
 def resolve_config(target: str | dict, overrides: dict | None = None) -> dict:
@@ -112,6 +115,10 @@ def build_run(config: dict) -> RunSpec:
     return run
 
 
+def _is_constructed(profile) -> bool:
+    return isinstance(profile, dict) and profile.get("kind") == "backward_construction"
+
+
 def initial_data(run: RunSpec, profile: dict) -> tuple[ComplexField, TrajectoryLog | None]:
     """The starting field of a run, with the construction log if it was built.
 
@@ -120,13 +127,13 @@ def initial_data(run: RunSpec, profile: dict) -> tuple[ComplexField, TrajectoryL
     model, grid, `dt_target`, `sample_every` and policy.  Raises ConfigError
     for a malformed record.
     """
-    if not (isinstance(profile, dict) and profile.get("kind") == "backward_construction"):
+    if not _is_constructed(profile):
         return field_from_record(run.grid, profile), None
     params = {k: v for k, v in profile.items() if k != "kind"}
     try:
         return backward_blowup_data(model=run.model, grid=run.grid, dt_target=run.dt_target,
                                     sample_every=run.sample_every, policy=run.policy, **params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, WrongDimension) as exc:
         raise ConfigError(f"bad backward_construction profile {profile!r}: {exc}") from exc
 
 
@@ -148,7 +155,6 @@ def _write_run_artifacts(out: Path, config: dict, grid: Grid, status: str,
         "t_end": config["t_end"],
         "sample_every": config["sample_every"],
         "policy": config["policy"],
-        "reference": config.get("reference", {}),
         "status": status,
         "t_detect": log.t_detect,
         "versions": {"mnls": __version__, "numpy": np.__version__,
@@ -171,28 +177,58 @@ def _write_run_artifacts(out: Path, config: dict, grid: Grid, status: str,
     return meta
 
 
-def run_experiment(target: str | dict, out_dir: str | Path, overrides: dict | None = None) -> dict:
-    """Run one experiment and write its artifacts under out_dir."""
-    config = resolve_config(target, overrides)
+def _construction_phase(config: dict, out_dir: str | Path) -> tuple[RunSpec, dict]:
+    """Build a resolved config's run, make out_dir and the run's initial data.
+
+    Constructed data goes to u0.mnls and its auxiliary trajectory to
+    construction.csv.  A construction that trips the blowup policy writes
+    the run's artifacts instead, its auxiliary trajectory being the record.
+    Returns the run and a summary: status "constructed" with the field
+    `u0` and its construction `log` (None for a closed-form profile), or
+    the failed construction's status, t_detect and meta.
+    """
     run = build_run(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
     try:
-        u0, construction_log = initial_data(run, config["profile"])
+        u0, log = initial_data(run, config["profile"])
     except BlowupDuringConstruction as exc:
-        # expected for the managed-Laplacian attempt: persist the
-        # auxiliary trajectory as the run's primary record
+        # expected for the managed-Laplacian attempt
         status = "blowup_during_construction"
         meta = _write_run_artifacts(out, config, run.grid, status, exc.log)
-        return {"status": status, "t_detect": exc.t_detect, "out_dir": str(out), "meta": meta}
-    if construction_log is not None:
+        return run, {"status": status, "t_detect": exc.t_detect, "out_dir": str(out),
+                     "meta": meta}
+    if log is not None:
         write_snapshot(out / "u0.mnls", u0)
-        write_series_csv(out / "construction.csv", construction_log.samples)
+        write_series_csv(out / "construction.csv", log.samples)
+    return run, {"status": "constructed", "out_dir": str(out), "u0": u0, "log": log}
 
-    log, final = evolve(run.model, run.disp_map, u0, run.t_end, run.dt_target,
+
+def construct_experiment(target: str | dict, out_dir: str | Path,
+                         overrides: dict | None = None) -> dict:
+    """Build one experiment's backward-constructed initial data under out_dir.
+
+    The target and overrides are those of `run_experiment`, whose first
+    phase this is.  Raises ConfigError for a closed-form profile, which
+    has nothing to construct.
+    """
+    config = resolve_config(target, overrides)
+    if not _is_constructed(config["profile"]):
+        raise ConfigError("nothing to construct: the profile is not a backward_construction "
+                          f"record, got {config['profile']!r}")
+    return _construction_phase(config, out_dir)[1]
+
+
+def run_experiment(target: str | dict, out_dir: str | Path, overrides: dict | None = None) -> dict:
+    """Run one experiment and write its artifacts under out_dir."""
+    config = resolve_config(target, overrides)
+    run, start = _construction_phase(config, out_dir)
+    if start["status"] != "constructed":
+        return start
+    out = Path(start["out_dir"])
+    log, final = evolve(run.model, run.disp_map, start["u0"], run.t_end, run.dt_target,
                         run.sample_every, run.policy)
     write_snapshot(out / ("final.mnls" if log.completed else "last_stable.mnls"), final)
-    meta = _write_run_artifacts(out, config, run.grid, log.status, log, construction_log)
+    meta = _write_run_artifacts(out, config, run.grid, log.status, log, start["log"])
     return {"status": log.status, "t_detect": log.t_detect, "out_dir": str(out), "meta": meta,
             "log": log, "final": final}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, TimePastBlowup, WrongDimension
+from .errors import ConfigError, TimePastBlowup, WrongDimension, is_real
 from .lattice import ComplexField, Grid
 
 __all__ = [
@@ -40,6 +40,13 @@ def ground_state_curve(y: np.ndarray) -> np.ndarray:
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
+def _real(**params) -> None:
+    """Raise TypeError for a parameter that is not a real number (JSON true, "2")."""
+    bad = {k: v for k, v in params.items() if not is_real(v)}
+    if bad:
+        raise TypeError(f"profile parameters must be real numbers, got {bad!r}")
+
+
 def _finite_field(grid: Grid, vals: np.ndarray, t: float = 0.0) -> ComplexField:
     """Profile samples as a field; parameters that make them non-finite
     (a NaN omega, an infinite amplitude) raise ValueError."""
@@ -57,6 +64,7 @@ def ground_state_1d(grid: Grid, omega: float = 1.0, scale: float = 1.0) -> Compl
     """
     if grid.dim != 1:
         raise WrongDimension("ground_state_1d needs a 1D grid")
+    _real(omega=omega, scale=scale)
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     x = grid.axis_coords()
@@ -88,6 +96,7 @@ def pseudo_conformal_field(
     """
     if grid.dim != 1:
         raise WrongDimension("pseudo_conformal_field needs a 1D grid")
+    _real(blowup_time=blowup_time, omega=omega, t=t, x_shift=x_shift, phase=phase)
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     if not isinstance(conjugate, bool):
@@ -109,6 +118,7 @@ def sech_profile_2d(grid: Grid, amplitude: float, width: float) -> ComplexField:
     """Radial bump A * sech(|x|/w) on a 2D grid."""
     if grid.dim != 2:
         raise WrongDimension("sech_profile_2d needs a 2D grid")
+    _real(amplitude=amplitude, width=width)
     if width <= 0.0:
         raise ValueError("width must be positive")
     xm, ym = grid.meshes()
@@ -143,5 +153,5 @@ def field_from_record(grid: Grid, record: dict) -> ComplexField:
         raise ConfigError(f"profile records have no 't': initial data is at t = 0, got {record!r}")
     try:
         return _CLOSED_FORMS[kind](grid, **params)
-    except (TypeError, ValueError, TimePastBlowup) as exc:
+    except (TypeError, ValueError, TimePastBlowup, WrongDimension) as exc:
         raise ConfigError(f"bad {kind} profile {record!r}: {exc}") from exc

@@ -42,9 +42,10 @@ class ManageabilityCriterion:
     sup_cap: float  # C0
 
     def __post_init__(self):
-        # a NaN threshold fails every comparison and grades every cell unmanageable
-        if not (math.isfinite(self.peak_floor) and math.isfinite(self.sup_cap)):
-            raise ValueError(f"criterion thresholds must be finite, got {self!r}")
+        # a NaN threshold fails every comparison and grades every cell
+        # unmanageable; JSON true and "3" are not thresholds
+        if not all(is_real(v) and math.isfinite(v) for v in (self.peak_floor, self.sup_cap)):
+            raise ValueError(f"criterion thresholds must be finite real numbers, got {self!r}")
 
 
 def verdict(status: str, sup_linf: float, min_period_peak: float,
@@ -141,6 +142,7 @@ def sweep_manageability(
         lines = [",".join(header)]
         for r in rows:
             lines.append(",".join(_cell_fmt(r[h]) for h in header))
+        Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
         atomic_write_text(out_csv, "\n".join(lines) + "\n")
     return rows
 

@@ -320,6 +320,29 @@ def test_criterion_11_conservation_laws(criteria_board, catalog_run):
     assert ok, (worst_mass, worst_energy, energy_floor)
 
 
+def test_catalog_entries_end_as_expected(catalog_run):
+    """Every catalog entry ends with its `expected` status, with a detection
+    time inside its `t_detect_window` and a peak within `linf_factor_max`
+    times the initial sup|u| where it has them.  The runs are the session's
+    cached ones, so after criterion 11 this adds no evolution."""
+    from mnls.catalog import CATALOG, catalog_ids
+
+    wrong = {}
+    for name in catalog_ids():
+        expected = CATALOG[name]["expected"]
+        summary = catalog_run(name)
+        ok = summary["status"] == expected["status"]
+        if "t_detect_window" in expected:
+            low, high = expected["t_detect_window"]
+            ok = ok and low <= summary["t_detect"] < high
+        if "linf_factor_max" in expected:
+            linf = [s.linf for s in summary["log"].samples]
+            ok = ok and max(linf) <= expected["linf_factor_max"] * linf[0]
+        if not ok:
+            wrong[name] = (summary["status"], summary["t_detect"], expected)
+    assert not wrong, wrong
+
+
 def test_criterion_12_byte_identical_reruns(criteria_board, catalog_run, tmp_path):
     names = ("foc-first-layer-T0.5", "dm-global-T1.5", "nm-revival-n2-T5.5")
     mismatches = []

@@ -103,23 +103,8 @@ def test_run_missing_json_exits_one(tmp_path, capsys):
 
 def test_construct_nm_succeeds(tmp_path, capsys):
     out = tmp_path / "seed"
-    code = main(
-        [
-            "construct",
-            "--kind",
-            "nm",
-            "--layer",
-            "1",
-            "--blowup-time",
-            "2.5",
-            "--n",
-            "1024",
-            "--dt",
-            "1e-3",
-            "--out",
-            str(out),
-        ]
-    )
+    code = main(["construct", "nm-blowup-T2.5", "--grid", "1024", "--dt", "1e-3",
+                 "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "status: constructed" in text
@@ -130,30 +115,43 @@ def test_construct_nm_succeeds(tmp_path, capsys):
 
 def test_construct_dm_reports_detection(tmp_path, capsys):
     out = tmp_path / "dmseed"
-    code = main(
-        [
-            "construct",
-            "--kind",
-            "dm",
-            "--layer",
-            "1",
-            "--blowup-time",
-            "2.5",
-            "--n",
-            "1024",
-            "--dt",
-            "1e-3",
-            "--amplitude-factor",
-            "1.7",
-            "--out",
-            str(out),
-        ]
-    )
+    code = main(["construct", "dm-backward-T2.5", "--dt", "1e-3", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "blowup_during_construction" in text
-    assert (out / "construction.csv").exists()
+    # a failed construction leaves the run's record: its auxiliary trajectory
+    assert (out / "series.csv").exists()
     assert not (out / "u0.mnls").exists()
+
+
+def test_construct_writes_what_run_writes(tmp_path, capsys):
+    """Both verbs take one construction path: the same constructed data,
+    and the same failure artifacts when the construction trips the cap."""
+    def files(verb, target, *flags):
+        out = tmp_path / verb / target
+        assert main([verb, target, "--dt", "1e-3", *flags, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    built = files("construct", "nm-blowup-T2.5", "--grid", "1024")
+    run = files("run", "nm-blowup-T2.5", "--grid", "1024", "--t-end", "0.01")
+    assert sorted(built) == ["construction.csv", "u0.mnls"]
+    for name in built:
+        assert built[name] == run[name], name
+
+    built = files("construct", "dm-backward-T2.5")
+    run = files("run", "dm-backward-T2.5")
+    assert sorted(built) == sorted(run) == ["energy.svg", "events.jsonl", "linf.svg",
+                                            "meta.json", "series.csv"]
+    for name in ("series.csv", "meta.json"):
+        assert built[name] == run[name], name
+
+
+def test_construct_rejects_a_closed_form_target(tmp_path, capsys):
+    out = tmp_path / "none"
+    assert main(["construct", "dm-global-T1.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "nothing to construct" in err
+    assert not out.exists()
 
 
 def test_plot_column_flag(tmp_path, capsys):
@@ -202,6 +200,8 @@ def test_sweep_rejects_incomplete_plan(tmp_path, capsys):
 @pytest.mark.parametrize("criterion, message", [
     ({"peak_floor": 0.5, "sup_cap": 3.0, "t_end": 1.0}, "base.t_end"),
     ({"peak_floor": float("nan"), "sup_cap": 3.0}, "finite"),
+    ({"peak_floor": True, "sup_cap": 3.0}, "real numbers"),
+    ({"peak_floor": 0.5, "sup_cap": "3"}, "real numbers"),
 ])
 def test_sweep_rejects_bad_criterion(tmp_path, capsys, criterion, message):
     plan = {"base": _tiny_config(), "axes": {"gamma": [1.0]}, "criterion": criterion}

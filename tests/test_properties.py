@@ -168,7 +168,7 @@ VALID = {
     "sample_every": 1,
     "policy": {},
 }
-_TOP_KEYS = (*VALID, "experiment", "title", "reference", "expected")
+_TOP_KEYS = (*VALID, "experiment", "title", "expected")
 _DROP = object()
 
 
@@ -263,7 +263,7 @@ _bad_profile = st.one_of(
     st.builds(lambda rec, k: {**rec, k: 1.0}, st.sampled_from(_GOOD_PROFILES),
               _words.filter(lambda k: k not in _PROFILE_KEYS)),
     st.builds(lambda param, v: {**param[0], param[1]: v}, st.sampled_from(_FLOAT_PARAMS),
-              st.sampled_from([math.nan, math.inf, -math.inf])),
+              st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), _number_lookalikes)),
     st.builds(lambda c: {"kind": "pseudo_conformal", "blowup_time": 1.5, "conjugate": c},
               st.one_of(_not_a_record, st.integers())),
 )
@@ -335,9 +335,20 @@ def test_valid_config_runs():
 @example(("map", {**VALID["map"], "epsilon": True}))
 @example(("map", {**VALID["map"], "epsilon": "2"}))
 @example(("dt_target", "0.01"))
+@example(("profile", {"kind": "scaled_ground_state", "omega": True}))
+@example(("profile", {"kind": "pseudo_conformal", "blowup_time": True}))
+@example(("profile", {"kind": "pseudo_conformal", "blowup_time": 1.5, "phase": True}))
+@example(("profile", {"kind": "backward_construction", "layer_index": 1, "blowup_time": 2.5,
+                      "omega": True}))
+@example(("profile", {"kind": "sech2d", "amplitude": 1.0, "width": 1.0}))
+@example(("grid", {**VALID["grid"], "dim": 2},
+          "profile", {"kind": "pseudo_conformal", "blowup_time": 1.5}))
 def test_malformed_run_config_is_a_config_error(mutation):
-    key, value = mutation
-    code, err = _run_config(_with(VALID, key, value))
+    # a mutation is one or more (key, value) pairs applied to VALID in turn
+    config = VALID
+    for key, value in zip(mutation[::2], mutation[1::2]):
+        config = _with(config, key, value)
+    code, err = _run_config(config)
     assert code == 1, err
     assert err.startswith("config error:"), err
     assert "Traceback" not in err
@@ -363,9 +374,12 @@ def test_non_finite_profile_reports_only_the_config_error(profile):
 @given(st.integers(-5, 0), st.floats(-10.0, 10.0))
 @example(0, 2.5)
 def test_construct_rejects_a_layer_below_one(layer, blowup_time):
+    config = {"experiment": "nm-blowup-T2.5",
+              "profile": {"layer_index": layer, "blowup_time": blowup_time}}
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = _main(["construct", f"--layer={layer}", f"--blowup-time={blowup_time!r}",
-                           "--out", tmp])
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        code, err = _main(["construct", str(path), "--out", str(Path(tmp) / "out")])
     assert code == 1, err
     assert err.startswith("config error:"), err
     assert "Traceback" not in err
