@@ -75,14 +75,22 @@ def layer_energy(kinetic: float, potential: float, gamma: float, p: float) -> fl
     return 0.5 * kinetic + gamma / (p + 1.0) * potential
 
 
-def sample_diagnostics(u: ComplexField, gamma_now: float, p: float) -> DiagnosticsSample:
-    """Evaluate all tracked functionals of u for the layer value gamma_now."""
+def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
+                       gradient: tuple[np.ndarray, ...] | None = None) -> DiagnosticsSample:
+    """Evaluate all tracked functionals of u for the layer value gamma_now.
+
+    `gradient` is `spectral_gradient(u)` when the caller already has it (the
+    stepper computes it in a batch with its own transforms); its arrays are
+    used as scratch.
+    """
     g = u.grid
     v = u.values
     amp2 = v.real * v.real
     amp2 += v.imag * v.imag
+    if gradient is None:
+        gradient = spectral_gradient(u)
     kin = mom = 0.0
-    for dv, x in zip(spectral_gradient(u), g.meshes()):
+    for dv, x in zip(gradient, g.meshes()):
         kin += np.vdot(dv, dv).real
         dv *= x
         mom += np.vdot(v, dv).imag

@@ -14,14 +14,23 @@ unit-modulus symbol, so the grid mass is conserved to rounding no matter
 how badly resolved the run is.  Layer boundaries are never straddled;
 each layer gets its own uniform step dividing its length.
 
-The stepping is fused and buffered.  Each run owns three field-sized
-buffers: the field, a phase factor and one real array holding |u|^2 and
-then the kick exponent |u|^(p-1); a fourth holds the symbol of the current
-layer, rebuilt in place.  The sweep runs in place, and the |u|^2
-taken after it serves both the amplitude check and the next kick, since
-a kick is a pure phase rotation.  The trailing half-kick of one step and
-the leading half-kick of the next are one full kick, split only at sample
-steps and layer ends.
+The stepping is fused, buffered and, in 1D, paired.  Each run owns three
+field-sized buffers: the field, a phase factor and one real array holding
+|u|^2 and then the kick exponent |u|^(p-1); a fourth holds the symbol of
+the current layer, rebuilt in place.  The sweep runs in place (`fft` in
+1D, `fftn` in 2D), and the |u|^2 taken after it serves both the amplitude
+check and the next kick, since a kick is a pure phase rotation.  The
+trailing half-kick of one step and the leading half-kick of the next are
+one full kick, split only at sample steps and layer ends.  At a 1D sample
+step inside a layer, the sample's gradient and the next step's sweep do
+not depend on each other, so one batched transform each way over a
+two-row buffer does both: row 0 holds the field after the leading
+half-kick and is multiplied by the layer symbol, row 1 a copy of the
+sample state multiplied by i*k.  The next step skips its own sweep.  Each
+row of numpy's batched transform has the bits of a single transform, so
+pairing changes no output.  The first sample, layer ends, halts and 2D
+(a two-axis sweep, whose rows numpy already batches) keep the separate
+transforms of `spectral_gradient`.
 
 Blowup is a detection outcome, not an exception.  `evolve` keeps the step
 loop and checks the amplitude cap after every step (one step from a
@@ -105,12 +114,13 @@ class TrajectoryLog:
 
 
 class _Stepper:
-    """The three run-lifetime buffers of one evolve call and the substeps on them.
+    """The run-lifetime buffers of one evolve call and the substeps on them.
 
     ``u`` is the marching field, ``phase`` the kick factor, and ``nl`` the
-    kick exponent |u|^(p-1) of the last `modulus` call.  Every substep works
-    in place, so a step allocates nothing of the field's size beyond one
-    real temporary.
+    kick exponent |u|^(p-1) of the last `modulus` call.  In 1D ``pair`` is
+    the two-row buffer of `lead`; 2D allocates none.  Every substep works in
+    place, so a step allocates nothing of the field's size beyond one real
+    temporary.
     """
 
     def __init__(self, values: np.ndarray, p: float):
@@ -118,6 +128,12 @@ class _Stepper:
         self.phase = np.empty_like(self.u)
         self.nl = np.empty(self.u.shape)
         self.e = 0.5 * (p - 1.0)
+        if self.u.ndim == 1:
+            self.fft, self.ifft = np.fft.fft, np.fft.ifft
+            self.pair = np.empty((2,) + self.u.shape, dtype=np.complex128)
+        else:
+            self.fft, self.ifft = np.fft.fftn, np.fft.ifftn
+            self.pair = None  # a 2D sweep already batches its rows
 
     def modulus(self) -> float:
         """Return max |u|^2 and leave the kick exponent |u|^(p-1) in nl."""
@@ -147,9 +163,30 @@ class _Stepper:
     def sweep(self, mult: np.ndarray) -> None:
         """Linear flow: multiply by the layer's symbol in frequency space."""
         u = self.u
-        np.fft.fftn(u, out=u)
+        self.fft(u, out=u)
         u *= mult
-        np.fft.ifftn(u, out=u)
+        self.ifft(u, out=u)
+
+    def lead(self, mult: np.ndarray, ik: np.ndarray) -> np.ndarray:
+        """Start the next step on a copy of the sample state u and differentiate u.
+
+        Row 0 of the pair buffer gets u after the leading half-kick (the
+        phase of the trailing one) and the sweep; row 1 gets du/dx.  One
+        batched transform each way does both rows, and each row has the bits
+        of a single transform.  u stays the sample state until `advance`.
+        """
+        w = self.pair
+        np.multiply(self.u, self.phase, out=w[0])
+        w[1] = self.u
+        np.fft.fft(w, axis=-1, out=w)
+        w[0] *= mult
+        w[1] *= ik
+        np.fft.ifft(w, axis=-1, out=w)
+        return w[1]
+
+    def advance(self) -> None:
+        """Take the state `lead` swept as the marching field."""
+        self.u[...] = self.pair[0]
 
     def unstep(self, mult: np.ndarray, half: float) -> np.ndarray:
         """Rebuild the state a step started from out of its post-sweep state.
@@ -158,9 +195,9 @@ class _Stepper:
         a backward half-kick recover it to rounding.
         """
         u = self.u
-        np.fft.fftn(u, out=u)
+        self.fft(u, out=u)
         u /= mult
-        np.fft.ifftn(u, out=u)
+        self.ifft(u, out=u)
         self.modulus()
         self.kick(-half)
         return u
@@ -177,17 +214,20 @@ class _Recorder:
         self.log = TrajectoryLog(samples=[self._diagnose(u, t, gamma)])
         self.mass0 = self.log.samples[0].mass
 
-    def _diagnose(self, u: np.ndarray, t: float, gamma: float) -> DiagnosticsSample:
-        return sample_diagnostics(ComplexField(self.grid, u, t), gamma, self.p)
+    def _diagnose(self, u: np.ndarray, t: float, gamma: float,
+                  gradient: tuple[np.ndarray, ...] | None = None) -> DiagnosticsSample:
+        return sample_diagnostics(ComplexField(self.grid, u, t), gamma, self.p, gradient)
 
     def enter(self, layer: Layer, dt: float, steps: int) -> None:
         self.log.layer_steps.append({"t_begin": layer.t_begin, "t_end": layer.t_end,
                                      "gamma": layer.gamma, "dt": dt, "steps": steps})
 
-    def sample(self, u: np.ndarray, t: float, gamma: float) -> bool:
-        """Record the full-step state u at t.  Returns False and records
-        nothing when its mass drifted past the policy; `drift` keeps the value."""
-        smp = self._diagnose(u, t, gamma)
+    def sample(self, u: np.ndarray, t: float, gamma: float,
+               gradient: tuple[np.ndarray, ...] | None = None) -> bool:
+        """Record the full-step state u at t, with its gradient if the caller
+        has it.  Returns False and records nothing when its mass drifted past
+        the policy; `drift` keeps the value."""
+        smp = self._diagnose(u, t, gamma, gradient)
         self.drift = abs(smp.mass - self.mass0) / self.mass0
         if self.drift > self.tol:
             return False
@@ -253,6 +293,7 @@ def evolve(
     layers = disp_map.layer_partition(t_begin, t_end)
     lap = grid.laplacian_symbol()
     mult = np.empty(lap.shape, dtype=np.complex128)  # the current layer's symbol
+    ik = grid.derivative_symbols()[0]
 
     st = _Stepper(u0.values, p)
     cap = policy.cap_for(math.sqrt(st.modulus()))
@@ -261,7 +302,9 @@ def evolve(
     # The trailing half-kick of a step and the leading half-kick of the next
     # are one full kick, split only where st.u must be a full-step state: at
     # samples and layer ends.  st.nl holds the exponent of the current |u|.
-    t_prev = t_begin
+    # In 1D a mid-layer sample's gradient and the next step's sweep share one
+    # batched transform pair, and that step skips its own sweep.
+    t_prev, swept = t_begin, False
     for li, layer in enumerate(layers):
         a, b = model.layer_coefficients(layer.gamma)
         steps = _steps_for(layer.length, dt_target)
@@ -272,7 +315,9 @@ def evolve(
         half = b * dt / 2.0
         st.kick(half)
         for s in range(1, steps + 1):
-            st.sweep(mult)
+            if not swept:  # else the last sample's batched call did this sweep
+                st.sweep(mult)
+            swept = False
             t_new = layer.t_end if s == steps else layer.t_begin + s * dt
             # the trailing kick is a pure phase: this is the candidate's modulus
             m2 = st.modulus()
@@ -286,11 +331,15 @@ def evolve(
                 t_prev = t_new
                 continue
             st.kick(half)
-            if not rec.sample(st.u, t_new, layer.gamma):
+            swept = s < steps and st.pair is not None
+            gradient = (st.lead(mult, ik),) if swept else None
+            if not rec.sample(st.u, t_new, layer.gamma, gradient):
                 st.kick(-half)
                 return rec.halt(st.unstep(mult, half), t_prev, layer.gamma, "mass_drift",
                                 rec.drift, t_new, s)
-            if s < steps:
+            if swept:
+                st.advance()
+            elif s < steps:
                 st.u *= st.phase  # the next leading half-kick: same modulus, same phase
             elif li + 1 < len(layers):
                 rec.switch(t_new, layer.gamma, layers[li + 1].gamma)

@@ -129,7 +129,8 @@ def read_series_csv(path: str | Path) -> dict[str, np.ndarray]:
     Blank lines are skipped.  Raises EmptySeries for a file without a header
     or data rows, and UnreadableSeries for a file that cannot be read, a row
     whose cell count differs from the header's and a cell that is not a
-    decimal number (numpy's parser also refuses Python's `1_000` and hex).
+    finite decimal number (numpy's parser also refuses Python's `1_000` and
+    hex; it takes `nan` and `inf`, which no run writes).
     """
     try:
         with open(path) as fh:
@@ -148,6 +149,11 @@ def read_series_csv(path: str | Path) -> dict[str, np.ndarray]:
     if table.shape[1] != len(names):
         raise UnreadableSeries(f"{path}: data rows have {table.shape[1]} cells where "
                                f"the header has {len(names)}")
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise UnreadableSeries(f"{path}: data row {row + 1} has the non-finite "
+                               f"{names[col]} {table[row, col]!r}")
     return {name: table[:, j] for j, name in enumerate(names)}
 
 

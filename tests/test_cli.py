@@ -1,6 +1,7 @@
 """End-to-end command line checks, driven through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,23 @@ def test_plot_malformed_series_exits_one(tmp_path, capsys, text):
     assert main(["plot", str(series), "--out", str(tmp_path / "p.svg")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["t", "linf"])
+def test_plot_non_finite_series_exits_one(tmp_path, capsys, cell, column):
+    """numpy parses nan and inf; such a cell would put nan in every polyline
+    coordinate, so the reader refuses it before any arithmetic warns."""
+    series = tmp_path / "series.csv"
+    row = {"t": "0.5", "linf": "2.0"} | {column: cell}
+    series.write_text(f"t,linf\n0.0,1.0\n{row['t']},{row['linf']}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plot", str(series), "--out", str(tmp_path / "p.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "data row 2" in err and column in err
+    assert "Traceback" not in err
     assert not (tmp_path / "p.svg").exists()
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mnls.propagator
 from mnls.errors import NonFiniteState
 from mnls.lattice import ComplexField, make_grid
 from mnls.mgmt_map import DispersionMap, normalized_map
@@ -217,8 +218,67 @@ def test_blowup_detection_semantics(grid1d):
     assert ev["value"] > cap
 
 
-def test_mass_drift_policy_trips(grid1d):
-    """An absurdly tight drift tolerance converts rounding into a halt."""
+def _check_paired_samples(monkeypatch) -> list[bool]:
+    """Make every sample that gets its gradient from the stepper recompute
+    itself with `spectral_gradient` and compare all fields for equality.
+    Returns a list that gets, per sample, whether its gradient was paired."""
+    original = mnls.propagator.sample_diagnostics
+    paired = []
+
+    def checked(u, gamma, p, gradient=None):
+        paired.append(gradient is not None)
+        if gradient is None:
+            return original(u, gamma, p)
+        ref = original(u, gamma, p)
+        got = original(u, gamma, p, gradient)
+        assert got == ref
+        return got
+
+    monkeypatch.setattr(mnls.propagator, "sample_diagnostics", checked)
+    return paired
+
+
+@pytest.mark.parametrize("kind", ["dm", "nm"])
+@pytest.mark.parametrize("p", [5.0, 3.0])
+@pytest.mark.parametrize("every", [1, 3])
+def test_paired_gradients_are_exact(monkeypatch, kind, p, every):
+    """Every mid-layer sample in 1D takes its gradient from the batched
+    transform that also sweeps the next step, and gets the same bits as the
+    stand-alone gradient; the first sample and the layer ends do not pair."""
+    paired = _check_paired_samples(monkeypatch)
+    g = make_grid(1, half_width=12 * np.pi, n=256)
+    u0 = pseudo_conformal_field(g, blowup_time=1.5)
+    disp = DispersionMap(epsilon=0.3)  # layers of length 0.3: three switches
+    log, _ = evolve(ModelSpec(kind, p), disp, u0, 1.0, 1e-2, sample_every=every,
+                    policy=BlowupPolicy(amplitude_factor=50.0))
+    assert log.completed and len(paired) == len(log.samples)
+    assert sum(paired) == sum((ls["steps"] - 1) // every for ls in log.layer_steps) > 0
+    assert not paired[0]
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_halt_right_after_a_paired_sample(grid1d, monkeypatch, every):
+    """A cap trip on the step after a paired sample, whose sweep the batched
+    call already did, still returns the paired sample's state."""
+    paired = _check_paired_samples(monkeypatch)
+    u0 = pseudo_conformal_field(grid1d, blowup_time=0.5)
+    focusing = DispersionMap(t_star=1e6, t_period=2e6)
+    model, dt = ModelSpec("dm"), 5e-4
+    log, final = evolve(model, focusing, u0, 1.0, dt, sample_every=every,
+                        policy=BlowupPolicy(amplitude_factor=1.05))
+    trip = [e for e in log.events if e["type"] == "blowup"][0]
+    assert trip["reason"] == "amplitude"
+    step = round(trip["t_violation"] / dt)
+    assert step == 94 and (step - 1) % every == 0  # the step before the trip was sampled
+    assert paired[-1] and log.samples[-1].t == log.t_detect == final.time
+    ref = _march_to(model, focusing, u0, log.t_detect, dt)
+    assert np.max(np.abs(final.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+
+
+def test_mass_drift_policy_trips(grid1d, monkeypatch):
+    """An absurdly tight drift tolerance converts rounding into a halt, here
+    at a mid-layer sample whose gradient came with the next step's sweep."""
+    paired = _check_paired_samples(monkeypatch)
     u0 = ground_state_1d(grid1d)
     policy = BlowupPolicy(mass_drift_tol=1e-17)
     log, final = evolve(
@@ -227,6 +287,7 @@ def test_mass_drift_policy_trips(grid1d):
     assert log.status == "blowup"
     ev = [e for e in log.events if e["type"] == "blowup"][0]
     assert ev["reason"] == "mass_drift"
+    assert paired[-1] and ev["t_violation"] < log.layer_steps[-1]["t_end"]
     assert final.time == log.t_detect
     ref = _march_to(ModelSpec("dm"), normalized_map(), u0, log.t_detect, 1e-3)
     assert np.max(np.abs(final.values - ref.values)) <= 1e-12 * u0.linf()
@@ -298,3 +359,19 @@ def test_halt_inside_a_fused_stretch_returns_the_last_stable_state(grid1d):
     assert np.max(np.abs(final.values - dense.values)) <= 1e-11 * scale
     ref = _march_to(model, focusing, u0, log.t_detect, dt)
     assert np.max(np.abs(final.values - ref.values)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024, 2048, 4096])
+def test_batched_transform_rows_have_single_transform_bits(n):
+    """The paired sample step rests on this numpy property: each row of an
+    in-place transform along the last axis of a C-contiguous (2, n) array
+    has the bits of that row's own transform, both ways, and a 1D `fftn`
+    has the bits of `fft`."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    for batched, nd in ((np.fft.fft, np.fft.fftn), (np.fft.ifft, np.fft.ifftn)):
+        w = rows.copy()
+        batched(w, axis=-1, out=w)
+        for row, out in zip(rows, w):
+            assert np.array_equal(out, batched(row))
+            assert np.array_equal(out, nd(row))
