@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples
-from .lattice import ComplexField, spectral_gradient
+from .lattice import ComplexField, spectral_derivative
 
 __all__ = ["DiagnosticsSample", "LayerResiduals", "layer_energy", "period_peaks",
            "sample_diagnostics", "virial_residuals"]
@@ -70,6 +70,27 @@ class DiagnosticsSample:
         )
 
 
+# OpenBLAS runs a dot product over more than 10,000 elements on several
+# threads, and the split changes the rounding of the sum; blocks of this size
+# never split, so a sum's bits do not depend on the thread count.
+_VDOT_BLOCK = 8192
+
+
+def _vdot(a: np.ndarray, b: np.ndarray):
+    """np.vdot summed over fixed blocks of the flattened arrays.
+
+    Arrays of at most one block go to np.vdot as they are; the total of
+    longer ones starts from the first block's value.
+    """
+    if a.size <= _VDOT_BLOCK:
+        return np.vdot(a, b)
+    a, b = a.ravel(), b.ravel()
+    total = np.vdot(a[:_VDOT_BLOCK], b[:_VDOT_BLOCK])
+    for i in range(_VDOT_BLOCK, a.size, _VDOT_BLOCK):
+        total += np.vdot(a[i:i + _VDOT_BLOCK], b[i:i + _VDOT_BLOCK])
+    return total
+
+
 def layer_energy(kinetic: float, potential: float, gamma: float, p: float) -> float:
     """The energy kinetic/2 + gamma/(p+1) * potential of a layer of value gamma."""
     return 0.5 * kinetic + gamma / (p + 1.0) * potential
@@ -81,32 +102,45 @@ def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
 
     `gradient` is `spectral_gradient(u)` when the caller already has it (the
     stepper computes it in a batch with its own transforms); its arrays are
-    used as scratch.
+    used as scratch.  Without it the sample holds one complex scratch field:
+    its two halves first hold |u|^2 and Im(u)^2, and once the functionals of
+    |u|^2 are summed it receives the derivative along each axis in turn.
+    Every sum goes through `_vdot`, so the bits do not depend on how many
+    threads the BLAS library runs.
     """
     g = u.grid
     v = u.values
-    amp2 = v.real * v.real
-    amp2 += v.imag * v.imag
     if gradient is None:
-        gradient = spectral_gradient(u)
+        d = np.empty(v.shape, dtype=np.complex128)
+        amp2, imag2 = d.reshape(-1).view(np.float64).reshape((2,) + v.shape)
+    else:
+        amp2, imag2 = np.empty(v.shape), None
+    np.multiply(v.real, v.real, out=amp2)
+    amp2 += np.multiply(v.imag, v.imag, out=imag2)
+    cv = g.cell_volume
+    # |u|^(p+1) = |u|^(p-1) |u|^2; numpy squares for p = 5
+    nl = amp2 if p == 3.0 else amp2 ** (0.5 * (p - 1.0))
+    mass, pot = g.integrate(amp2), float(_vdot(nl, amp2)) * cv
+    variance = float(_vdot(g.radius_squared(), amp2)) * cv
+    linf = float(np.sqrt(np.max(amp2)))
+    if gradient is None:  # |u|^2 is spent: d becomes the derivative scratch
+        gradient = (spectral_derivative(u, axis, d) for axis in range(g.dim))
     kin = mom = 0.0
     for dv, x in zip(gradient, g.meshes()):
-        kin += np.vdot(dv, dv).real
+        kin += _vdot(dv, dv).real
         dv *= x
-        mom += np.vdot(v, dv).imag
-    cv = g.cell_volume
-    # |u|^(p+1) = |u|^(p-1) |u|^2; numpy squares for p = 5 and copies for p = 3
-    kin, pot = float(kin) * cv, float(np.vdot(amp2 ** (0.5 * (p - 1.0)), amp2)) * cv
+        mom += _vdot(v, dv).imag
+    kin = float(kin) * cv
     return DiagnosticsSample(
         t=float(u.time),
         layer_gamma=float(gamma_now),
-        mass=g.integrate(amp2),
+        mass=mass,
         kinetic=kin,
         potential=pot,
         energy=layer_energy(kin, pot, gamma_now, p),
-        variance=float(np.vdot(g.radius_squared(), amp2)) * cv,
+        variance=variance,
         momentum=float(mom) * cv,
-        linf=float(np.sqrt(np.max(amp2))),
+        linf=linf,
     )
 
 

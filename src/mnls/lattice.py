@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidResolution, is_real
 
-__all__ = ["Grid", "ComplexField", "make_grid", "spectral_gradient"]
+__all__ = ["Grid", "ComplexField", "make_grid", "spectral_derivative", "spectral_gradient"]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -67,11 +67,13 @@ class Grid:
 
     @lru_cache(maxsize=32)
     def meshes(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays, one per axis, broadcastable to `shape`."""
+        """Coordinate arrays, one per axis, broadcastable to `shape`.
+
+        In 2D they are the (n, 1) and (1, n) views of `axis_coords`, so no
+        field-sized coordinate array is ever held.
+        """
         x = self.axis_coords()
-        if self.dim == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return (x,) if self.dim == 1 else (x[:, None], x[None, :])
 
     @lru_cache(maxsize=32)
     def laplacian_symbol(self) -> np.ndarray:
@@ -140,17 +142,22 @@ class ComplexField:
         return float(np.max(np.abs(self.values)))
 
 
-def spectral_gradient(f: ComplexField) -> tuple[np.ndarray, ...]:
-    """Partial derivatives of the field along each axis.
+def spectral_derivative(f: ComplexField, axis: int, out: np.ndarray) -> np.ndarray:
+    """Write the partial derivative of the field along `axis` into `out`.
 
-    Each derivative is computed by multiplication with i*k in frequency
+    The derivative is computed by multiplication with i*k in frequency
     space, exact for band-limited fields.  The unpaired Nyquist mode has no
     well-defined odd derivative on a real lattice, so its multiplier is
     zeroed; smooth, well-resolved fields carry no content there anyway.
+    `out` is a complex array of the field's shape; both transforms run in
+    it, so nothing field-sized is allocated.
     """
-    grads = []
-    for axis, ik in enumerate(f.grid.derivative_symbols()):
-        d = np.fft.fft(f.values, axis=axis)
-        d *= ik
-        grads.append(np.fft.ifft(d, axis=axis, out=d))
-    return tuple(grads)
+    np.fft.fft(f.values, axis=axis, out=out)
+    out *= f.grid.derivative_symbols()[axis]
+    return np.fft.ifft(out, axis=axis, out=out)
+
+
+def spectral_gradient(f: ComplexField) -> tuple[np.ndarray, ...]:
+    """Partial derivatives of the field along each axis (`spectral_derivative`)."""
+    return tuple(spectral_derivative(f, axis, np.empty_like(f.values))
+                 for axis in range(f.grid.dim))

@@ -121,9 +121,14 @@ def sech_profile_2d(grid: Grid, amplitude: float, width: float) -> ComplexField:
     _real(amplitude=amplitude, width=width)
     if width <= 0.0:
         raise ValueError("width must be positive")
-    xm, ym = grid.meshes()
-    r = np.sqrt(xm * xm + ym * ym)
-    return _finite_field(grid, amplitude / np.cosh(r / width))
+    # built in the real part of the field itself from the cached |x|^2 table
+    vals = np.zeros(grid.shape, dtype=np.complex128)
+    bump = vals.real
+    np.sqrt(grid.radius_squared(), out=bump)
+    bump /= width
+    np.cosh(bump, out=bump)
+    np.divide(amplitude, bump, out=bump)
+    return _finite_field(grid, vals)
 
 
 # closed-form profile kinds; a record's other keys are the function's arguments

@@ -29,8 +29,8 @@ half-kick and is multiplied by the layer symbol, row 1 a copy of the
 sample state multiplied by i*k.  The next step skips its own sweep.  Each
 row of numpy's batched transform has the bits of a single transform, so
 pairing changes no output.  The first sample, layer ends, halts and 2D
-(a two-axis sweep, whose rows numpy already batches) keep the separate
-transforms of `spectral_gradient`.
+(a two-axis sweep, whose rows numpy already batches) leave the derivative
+to `sample_diagnostics`, which takes it one axis at a time.
 
 Blowup is a detection outcome, not an exception.  `evolve` keeps the step
 loop and checks the amplitude cap after every step (one step from a

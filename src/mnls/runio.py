@@ -81,10 +81,10 @@ def write_snapshot(path: str | Path, field: ComplexField) -> None:
     header = SNAPSHOT_MAGIC + struct.pack("<QQ", SNAPSHOT_VERSION, g.dim)
     header += struct.pack("<" + "Q" * g.dim, *([g.n] * g.dim))
     header += struct.pack("<dd", g.half_width, field.time)
-    flat = np.empty(2 * field.values.size, dtype="<f8")
-    flat[0::2] = field.values.real.ravel()
-    flat[1::2] = field.values.imag.ravel()
-    atomic_write_bytes(path, header + flat.tobytes())
+    with _atomic_file(path) as fh:
+        fh.write(header)
+        # no copy unless the field is not C-contiguous or not little-endian
+        fh.write(np.ascontiguousarray(field.values, "<c16"))
 
 
 def read_snapshot(path: str | Path) -> ComplexField:

@@ -1,10 +1,15 @@
 """Functional evaluation and virial residual grouping."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mnls
 from mnls.diagnostics import (
     SERIES_COLUMNS,
     DiagnosticsSample,
@@ -110,6 +115,49 @@ def test_chirped_gaussian_2d_closed_forms(p):
         assert abs(getattr(d, name) - value) < 1e-13 * value, name
     assert abs(d.energy - (0.5 * d.kinetic - d.potential / (p + 1))) < 1e-14 * d.kinetic
     assert d.linf == pytest.approx(a, rel=1e-15)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1024), (2, 64)])
+def test_computed_and_supplied_derivatives_give_equal_samples(dim, n):
+    """The sample's own one-scratch derivative pass equals a sample handed
+    the gradient, computed here as separate transforms per axis."""
+    g = make_grid(dim, half_width=8.0, n=n)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    u = ComplexField(g, v, 0.25)
+    gradient = []
+    for axis, ik in enumerate(g.derivative_symbols()):
+        d = np.fft.fft(v, axis=axis)
+        d *= ik
+        gradient.append(np.fft.ifft(d, axis=axis))
+    for p in (3.0, 5.0):
+        supplied = tuple(d.copy() for d in gradient)  # the sample uses them as scratch
+        assert sample_diagnostics(u, -1.0, p) == sample_diagnostics(u, -1.0, p, supplied)
+
+
+_SAMPLE_SCRIPT = """
+import numpy as np
+from mnls.diagnostics import sample_diagnostics
+from mnls.lattice import ComplexField, make_grid
+g = make_grid(2, 8.0, 128)
+rng = np.random.default_rng(0)
+u = ComplexField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+print(repr(sample_diagnostics(u, -1.0, 3.0)))
+"""
+
+
+def test_sample_bits_do_not_depend_on_blas_threads():
+    """OpenBLAS splits a dot product over more than 10,000 elements across
+    threads; a 128^2 sample must still print the same digits on 1 and 2."""
+    src = str(Path(mnls.__file__).resolve().parent.parent)
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _SAMPLE_SCRIPT], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        out.append(run.stdout)
+    assert out[0] == out[1]
 
 
 def test_sample_row_order_matches_series_columns():

@@ -14,8 +14,9 @@ from mnls.errors import (BlowupDuringConstruction, ConfigError, CorruptSnapshot,
                          MissingColumn, MnlsError, UnreadableSeries)
 from mnls.harness import build_run, initial_data, resolve_config, run_experiment
 from mnls.lattice import ComplexField, make_grid
+from mnls.mgmt_map import DispersionMap
 from mnls.plotting import emit_plot
-from mnls.profiles import ground_state_1d
+from mnls.profiles import ground_state_1d, sech_profile_2d
 from mnls.propagator import BlowupPolicy, ModelSpec, evolve
 from mnls.runio import (
     SNAPSHOT_MAGIC,
@@ -366,20 +367,73 @@ def test_emit_plot_points_match_the_pointwise_map(long_series, tmp_path):
     svg = (tmp_path / "energy.svg").read_text()
     points = svg.split('<polyline points="', 1)[1].split('"', 1)[0]
     cols = read_series_csv(path)
-    t, y = cols["t"], cols["energy"]
-    tlo, thi = float(np.min(t)), float(np.max(t))
-    ylo, yhi = float(np.min(y)), float(np.max(y))
+    t, y = cols["t"].tolist(), cols["energy"].tolist()
+    tlo, thi = min(t), max(t)
+    ylo, yhi = min(y), max(y)
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
-    # the reference: the plot's pixel map applied one value at a time
-    want = " ".join(f"{72 + (tv - tlo) / (thi - tlo) * 632:.2f},"
-                    f"{440 - 48 - (yv - ylo) / (yhi - ylo) * 364:.2f}" for tv, yv in zip(t, y))
+    # the reference: M4 over the plot's 632 pixel columns, one row at a time:
+    # each column keeps its first and last row and a row of least and of
+    # greatest value (the earliest and the latest on ties), in row order
+    columns = {}
+    for i, tv in enumerate(t):
+        columns.setdefault(min(int((tv - tlo) / (thi - tlo) * 632), 631), []).append(i)
+    keep = set()
+    for rows in columns.values():
+        low = min(y[i] for i in rows)
+        high = max(y[i] for i in rows)
+        keep |= {rows[0], rows[-1], next(i for i in rows if y[i] == low),
+                 next(i for i in reversed(rows) if y[i] == high)}
+    want = " ".join(f"{72 + (t[i] - tlo) / (thi - tlo) * 632:.2f},"
+                    f"{440 - 48 - (y[i] - ylo) / (yhi - ylo) * 364:.2f}" for i in sorted(keep))
     assert points == want
+    assert len(keep) <= 4 * 632
 
 
 def test_emit_plot_memory_is_bounded(long_series, tmp_path):
     _, path = long_series
     assert _traced_peak(emit_plot, path, "linf", tmp_path / "linf.svg") < 4 * _GUARD_TABLE
+
+
+# Footprints of the 2D field paths at 128^2, in complex fields of 256 KiB.
+# Each bound sits between the measured peak and the peak of the copies it
+# guards against: numpy's broadcasting and FFT buffers add a fixed ~0.1-0.5.
+_FIELD = 16 * 128 * 128
+
+
+def test_2d_evolve_holds_its_buffers_and_one_scratch_field():
+    """The stepper's field, phase factor, layer symbol and |u|^(p-1), and a
+    sample's one scratch field, sampling every step: 5.0 fields with numpy's
+    buffers.  Two derivatives and a separate |u|^2 held at once made 6.5."""
+    g = make_grid(2, half_width=8.0, n=128)
+    u0 = sech_profile_2d(g, 5.0, 0.86)
+    args = (ModelSpec("dm"), DispersionMap(t_star=5e-4, t_period=1e-3), u0, 2e-3, 2.5e-4, 1)
+    evolve(*args)  # fill the grid's cached tables
+    assert _traced_peak(evolve, *args) < 5.5 * _FIELD
+
+
+def test_sech_profile_2d_builds_the_field_in_place():
+    g = make_grid(2, half_width=8.0, n=128)
+    g.radius_squared()
+    assert _traced_peak(sech_profile_2d, g, 5.0, 0.86) <= 1.5 * _FIELD
+
+
+def test_snapshot_writes_the_interleaved_field_without_copies(tmp_path):
+    """A field and a transposed view of it both give the header and then
+    the interleaved Re/Im pairs in row-major node order; only the view,
+    which is not C-contiguous, is copied on the way."""
+    g = make_grid(2, half_width=8.0, n=128)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    path = tmp_path / "u.mnls"
+    for view, bound in ((values, 0.25), (values.T, 1.25)):
+        field = ComplexField(g, view, 0.5)
+        assert _traced_peak(write_snapshot, path, field) < bound * _FIELD
+        flat = np.empty(2 * view.size, dtype="<f8")
+        flat[0::2] = view.real.ravel()
+        flat[1::2] = view.imag.ravel()
+        header = SNAPSHOT_MAGIC + struct.pack("<QQQQdd", 1, 2, 128, 128, 8.0, 0.5)
+        assert path.read_bytes() == header + flat.tobytes()
 
 
 def test_emit_plot_is_deterministic(tmp_path):
