@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples
-from .lattice import ComplexField, spectral_derivative
+from .lattice import ComplexField, Grid, spectral_derivative
 
 __all__ = ["DiagnosticsSample", "LayerResiduals", "layer_energy", "period_peaks",
            "sample_diagnostics", "virial_residuals"]
@@ -91,27 +91,39 @@ def _vdot(a: np.ndarray, b: np.ndarray):
     return total
 
 
+def _variance(g: Grid, amp2: np.ndarray):
+    """Sum of |x|^2 |u|^2 over the nodes.  In 2D it is summed per axis, x^2
+    against the marginal of |u|^2 over the other axis, so no |x|^2 table
+    is needed."""
+    x2 = g.axis_coords_squared()
+    if g.dim == 1:
+        return _vdot(x2, amp2)
+    return _vdot(x2, amp2.sum(axis=1)) + _vdot(x2, amp2.sum(axis=0))
+
+
 def layer_energy(kinetic: float, potential: float, gamma: float, p: float) -> float:
     """The energy kinetic/2 + gamma/(p+1) * potential of a layer of value gamma."""
     return 0.5 * kinetic + gamma / (p + 1.0) * potential
 
 
 def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
-                       gradient: tuple[np.ndarray, ...] | None = None) -> DiagnosticsSample:
+                       gradient: tuple[np.ndarray, ...] | None = None, *,
+                       scratch: np.ndarray | None = None) -> DiagnosticsSample:
     """Evaluate all tracked functionals of u for the layer value gamma_now.
 
     `gradient` is `spectral_gradient(u)` when the caller already has it (the
     stepper computes it in a batch with its own transforms); its arrays are
-    used as scratch.  Without it the sample holds one complex scratch field:
-    its two halves first hold |u|^2 and Im(u)^2, and once the functionals of
-    |u|^2 are summed it receives the derivative along each axis in turn.
-    Every sum goes through `_vdot`, so the bits do not depend on how many
-    threads the BLAS library runs.
+    used as scratch.  Without it the sample needs one complex scratch field,
+    `scratch` if given (the stepper lends its phase buffer; the contents are
+    overwritten) or a new one: its two halves first hold |u|^2 and Im(u)^2,
+    and once the functionals of |u|^2 are summed it receives the derivative
+    along each axis in turn.  Every sum goes through `_vdot`, so the bits do
+    not depend on how many threads the BLAS library runs.
     """
     g = u.grid
     v = u.values
     if gradient is None:
-        d = np.empty(v.shape, dtype=np.complex128)
+        d = np.empty(v.shape, dtype=np.complex128) if scratch is None else scratch
         amp2, imag2 = d.reshape(-1).view(np.float64).reshape((2,) + v.shape)
     else:
         amp2, imag2 = np.empty(v.shape), None
@@ -121,7 +133,7 @@ def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
     # |u|^(p+1) = |u|^(p-1) |u|^2; numpy squares for p = 5
     nl = amp2 if p == 3.0 else amp2 ** (0.5 * (p - 1.0))
     mass, pot = g.integrate(amp2), float(_vdot(nl, amp2)) * cv
-    variance = float(_vdot(g.radius_squared(), amp2)) * cv
+    variance = float(_variance(g, amp2)) * cv
     linf = float(np.sqrt(np.max(amp2)))
     if gradient is None:  # |u|^2 is spent: d becomes the derivative scratch
         gradient = (spectral_derivative(u, axis, d) for axis in range(g.dim))

@@ -57,6 +57,12 @@ class Grid:
         return -self.half_width + self.dx * np.arange(self.n)
 
     @lru_cache(maxsize=32)
+    def axis_coords_squared(self) -> np.ndarray:
+        """x^2 along one axis, the weight of the variance integral."""
+        x = self.axis_coords()
+        return x * x
+
+    @lru_cache(maxsize=32)
     def axis_wavenumbers(self) -> np.ndarray:
         """Wavenumbers along one axis in FFT storage order.
 
@@ -76,17 +82,16 @@ class Grid:
         return (x,) if self.dim == 1 else (x[:, None], x[None, :])
 
     @lru_cache(maxsize=32)
-    def laplacian_symbol(self) -> np.ndarray:
-        """|k|^2 on the FFT-ordered frequency lattice."""
-        k = self.axis_wavenumbers()
-        if self.dim == 1:
-            return k * k
-        return k[:, None] ** 2 + k[None, :] ** 2
+    def laplacian_symbol(self) -> tuple[np.ndarray, ...]:
+        """k^2 per axis in FFT order, broadcastable to `shape`; |k|^2 is their sum.
 
-    @lru_cache(maxsize=32)
-    def radius_squared(self) -> np.ndarray:
-        """|x|^2, with x measured from the box center."""
-        return sum(m * m for m in self.meshes())
+        In 2D they are (n, 1) and (1, n) arrays, so a function of |k|^2 that
+        factors over the axes, like the layer symbol exp(-i a dt |k|^2), is
+        built per axis without a field-sized table.
+        """
+        k = self.axis_wavenumbers()
+        k2 = k * k
+        return (k2,) if self.dim == 1 else (k2[:, None], k2[None, :])
 
     @lru_cache(maxsize=32)
     def derivative_symbols(self) -> tuple[np.ndarray, ...]:

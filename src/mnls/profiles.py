@@ -121,10 +121,14 @@ def sech_profile_2d(grid: Grid, amplitude: float, width: float) -> ComplexField:
     _real(amplitude=amplitude, width=width)
     if width <= 0.0:
         raise ValueError("width must be positive")
-    # built in the real part of the field itself from the cached |x|^2 table
+    # built in the real part of the field itself from the broadcast meshes;
+    # a broadcast assignment into that strided view needs no field-sized buffer
+    x, y = grid.meshes()
     vals = np.zeros(grid.shape, dtype=np.complex128)
     bump = vals.real
-    np.sqrt(grid.radius_squared(), out=bump)
+    bump[...] = y * y
+    bump += x * x
+    np.sqrt(bump, out=bump)
     bump /= width
     np.cosh(bump, out=bump)
     np.divide(amplitude, bump, out=bump)

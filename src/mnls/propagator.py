@@ -16,21 +16,27 @@ each layer gets its own uniform step dividing its length.
 
 The stepping is fused, buffered and, in 1D, paired.  Each run owns three
 field-sized buffers: the field, a phase factor and one real array holding
-|u|^2 and then the kick exponent |u|^(p-1); a fourth holds the symbol of
-the current layer, rebuilt in place.  The sweep runs in place (`fft` in
-1D, `fftn` in 2D), and the |u|^2 taken after it serves both the amplitude
-check and the next kick, since a kick is a pure phase rotation.  The
-trailing half-kick of one step and the leading half-kick of the next are
-one full kick, split only at sample steps and layer ends.  At a 1D sample
-step inside a layer, the sample's gradient and the next step's sweep do
-not depend on each other, so one batched transform each way over a
-two-row buffer does both: row 0 holds the field after the leading
-half-kick and is multiplied by the layer symbol, row 1 a copy of the
-sample state multiplied by i*k.  The next step skips its own sweep.  Each
-row of numpy's batched transform has the bits of a single transform, so
-pairing changes no output.  The first sample, layer ends, halts and 2D
-(a two-axis sweep, whose rows numpy already batches) leave the derivative
-to `sample_diagnostics`, which takes it one axis at a time.
+|u|^2 and then the kick exponent |u|^(p-1).  The layer symbol
+exp(-i a dt |k|^2) is the product of one factor per axis,
+exp(-i a dt k^2) over (n, 1) and (1, n) in 2D, rebuilt in place at each
+layer; the sweep multiplies by each in turn.  Nothing else field-sized
+lives for the run: a sample that differentiates on its own borrows the
+phase buffer as its scratch, since a kick rebuilds the factor from
+|u|^(p-1) before it is read again.
+The sweep runs in place (`fft` in 1D, `fftn` in 2D), and the |u|^2 taken
+after it serves both the amplitude check and the next kick, since a kick
+is a pure phase rotation.  The trailing half-kick of one step and the
+leading half-kick of the next are one full kick, split only at sample
+steps and layer ends.  At a 1D sample step inside a layer, the sample's
+gradient and the next step's sweep do not depend on each other, so one
+batched transform each way over a two-row buffer does both: row 0 holds
+the field after the leading half-kick and is multiplied by the layer
+symbol, row 1 a copy of the sample state multiplied by i*k.  The next
+step skips its own sweep.  Each row of numpy's batched transform has the
+bits of a single transform, so pairing changes no output.  The first
+sample, layer ends, halts and 2D (a two-axis sweep, whose rows numpy
+already batches) leave the derivative to `sample_diagnostics`, which
+takes it one axis at a time.
 
 Blowup is a detection outcome, not an exception.  `evolve` keeps the step
 loop and checks the amplitude cap after every step (one step from a
@@ -118,15 +124,19 @@ class _Stepper:
 
     ``u`` is the marching field, ``phase`` the kick factor, and ``nl`` the
     kick exponent |u|^(p-1) of the last `modulus` call.  In 1D ``pair`` is
-    the two-row buffer of `lead`; 2D allocates none.  Every substep works in
-    place, so a step allocates nothing of the field's size beyond one real
-    temporary.
+    the two-row buffer of `lead`; 2D allocates none.  ``mult`` is the layer
+    symbol as one factor per axis.  Every substep works in place, so a step
+    allocates nothing of the field's size.
     """
 
-    def __init__(self, values: np.ndarray, p: float):
+    def __init__(self, values: np.ndarray, p: float, lap: tuple[np.ndarray, ...]):
         self.u = np.array(values, dtype=np.complex128)  # a copy: u0 stays untouched
         self.phase = np.empty_like(self.u)
         self.nl = np.empty(self.u.shape)
+        # the first half of the phase buffer's bytes as a real field, for Im(u)^2
+        self.imag2 = self.phase.reshape(-1).view(np.float64)[:self.u.size].reshape(self.u.shape)
+        self.lap = lap
+        self.mult = tuple(np.empty(k2.shape, dtype=np.complex128) for k2 in lap)
         self.e = 0.5 * (p - 1.0)
         if self.u.ndim == 1:
             self.fft, self.ifft = np.fft.fft, np.fft.ifft
@@ -136,10 +146,15 @@ class _Stepper:
             self.pair = None  # a 2D sweep already batches its rows
 
     def modulus(self) -> float:
-        """Return max |u|^2 and leave the kick exponent |u|^(p-1) in nl."""
+        """Return max |u|^2 and leave the kick exponent |u|^(p-1) in nl.
+
+        The phase factor is dead here (a kick rebuilds it before it is read),
+        so Im(u)^2 goes into its memory; a contiguous view is as fast as a
+        new array.
+        """
         u, nl = self.u, self.nl
         np.multiply(u.real, u.real, out=nl)
-        nl += u.imag * u.imag
+        nl += np.multiply(u.imag, u.imag, out=self.imag2)
         m2 = float(nl.max())
         if self.e == 2.0:
             np.multiply(nl, nl, out=nl)
@@ -160,14 +175,21 @@ class _Stepper:
         np.sin(arg, out=arg)
         self.u *= self.phase
 
-    def sweep(self, mult: np.ndarray) -> None:
+    def symbol(self, coeff: complex) -> None:
+        """Make mult the layer symbol exp(coeff |k|^2), one factor per axis."""
+        for k2, m in zip(self.lap, self.mult):
+            np.multiply(k2, coeff, out=m)
+            np.exp(m, out=m)
+
+    def sweep(self) -> None:
         """Linear flow: multiply by the layer's symbol in frequency space."""
         u = self.u
         self.fft(u, out=u)
-        u *= mult
+        for m in self.mult:
+            u *= m
         self.ifft(u, out=u)
 
-    def lead(self, mult: np.ndarray, ik: np.ndarray) -> np.ndarray:
+    def lead(self, ik: np.ndarray) -> np.ndarray:
         """Start the next step on a copy of the sample state u and differentiate u.
 
         Row 0 of the pair buffer gets u after the leading half-kick (the
@@ -179,7 +201,7 @@ class _Stepper:
         np.multiply(self.u, self.phase, out=w[0])
         w[1] = self.u
         np.fft.fft(w, axis=-1, out=w)
-        w[0] *= mult
+        w[0] *= self.mult[0]
         w[1] *= ik
         np.fft.ifft(w, axis=-1, out=w)
         return w[1]
@@ -188,7 +210,7 @@ class _Stepper:
         """Take the state `lead` swept as the marching field."""
         self.u[...] = self.pair[0]
 
-    def unstep(self, mult: np.ndarray, half: float) -> np.ndarray:
+    def unstep(self, half: float) -> np.ndarray:
         """Rebuild the state a step started from out of its post-sweep state.
 
         The sweep is unitary and the kick keeps |u|, so an inverse sweep and
@@ -196,7 +218,8 @@ class _Stepper:
         """
         u = self.u
         self.fft(u, out=u)
-        u /= mult
+        for m in self.mult:
+            u /= m
         self.ifft(u, out=u)
         self.modulus()
         self.kick(-half)
@@ -206,17 +229,22 @@ class _Stepper:
 class _Recorder:
     """Owns a run's TrajectoryLog and writes everything that goes into it: the
     layer plan, the first sample, one sample per sample step with its
-    mass-drift check against the first, the layer-switch events and the halt."""
+    mass-drift check against the first, the layer-switch events and the halt.
+
+    A sample without a gradient uses `scratch`, the stepper's phase buffer,
+    as its scratch field; the caller rebuilds the phase after it."""
 
     def __init__(self, grid: Grid, p: float, policy: BlowupPolicy, u: np.ndarray, t: float,
-                 gamma: float):
+                 gamma: float, scratch: np.ndarray):
         self.grid, self.p, self.tol = grid, p, policy.mass_drift_tol
+        self.scratch = scratch
         self.log = TrajectoryLog(samples=[self._diagnose(u, t, gamma)])
         self.mass0 = self.log.samples[0].mass
 
     def _diagnose(self, u: np.ndarray, t: float, gamma: float,
                   gradient: tuple[np.ndarray, ...] | None = None) -> DiagnosticsSample:
-        return sample_diagnostics(ComplexField(self.grid, u, t), gamma, self.p, gradient)
+        return sample_diagnostics(ComplexField(self.grid, u, t), gamma, self.p, gradient,
+                                  scratch=self.scratch)
 
     def enter(self, layer: Layer, dt: float, steps: int) -> None:
         self.log.layer_steps.append({"t_begin": layer.t_begin, "t_end": layer.t_end,
@@ -291,32 +319,30 @@ def evolve(
     grid, t_begin = u0.grid, u0.time
     p = model.resolve_p(grid.dim)
     layers = disp_map.layer_partition(t_begin, t_end)
-    lap = grid.laplacian_symbol()
-    mult = np.empty(lap.shape, dtype=np.complex128)  # the current layer's symbol
     ik = grid.derivative_symbols()[0]
 
-    st = _Stepper(u0.values, p)
+    st = _Stepper(u0.values, p, grid.laplacian_symbol())
     cap = policy.cap_for(math.sqrt(st.modulus()))
-    rec = _Recorder(grid, p, policy, st.u, t_begin, layers[0].gamma)
+    rec = _Recorder(grid, p, policy, st.u, t_begin, layers[0].gamma, st.phase)
 
     # The trailing half-kick of a step and the leading half-kick of the next
     # are one full kick, split only where st.u must be a full-step state: at
     # samples and layer ends.  st.nl holds the exponent of the current |u|.
     # In 1D a mid-layer sample's gradient and the next step's sweep share one
-    # batched transform pair, and that step skips its own sweep.
+    # batched transform pair, and that step skips its own sweep.  Any other
+    # sample uses st.phase as scratch, so the next kick rebuilds it from st.nl.
     t_prev, swept = t_begin, False
     for li, layer in enumerate(layers):
         a, b = model.layer_coefficients(layer.gamma)
         steps = _steps_for(layer.length, dt_target)
         dt = layer.length / steps
         rec.enter(layer, dt, steps)
-        np.multiply(lap, -1j * a * dt, out=mult)
-        np.exp(mult, out=mult)
+        st.symbol(-1j * a * dt)
         half = b * dt / 2.0
         st.kick(half)
         for s in range(1, steps + 1):
             if not swept:  # else the last sample's batched call did this sweep
-                st.sweep(mult)
+                st.sweep()
             swept = False
             t_new = layer.t_end if s == steps else layer.t_begin + s * dt
             # the trailing kick is a pure phase: this is the candidate's modulus
@@ -324,7 +350,7 @@ def evolve(
             if not math.isfinite(m2):
                 raise NonFiniteState(f"non-finite state at t={t_new:.9g} without a policy trigger")
             if m2 > cap * cap:
-                return rec.halt(st.unstep(mult, half), t_prev, layer.gamma, "amplitude",
+                return rec.halt(st.unstep(half), t_prev, layer.gamma, "amplitude",
                                 math.sqrt(m2), t_new, s)
             if s < steps and s % sample_every:
                 st.kick(2.0 * half)
@@ -332,15 +358,15 @@ def evolve(
                 continue
             st.kick(half)
             swept = s < steps and st.pair is not None
-            gradient = (st.lead(mult, ik),) if swept else None
+            gradient = (st.lead(ik),) if swept else None
             if not rec.sample(st.u, t_new, layer.gamma, gradient):
                 st.kick(-half)
-                return rec.halt(st.unstep(mult, half), t_prev, layer.gamma, "mass_drift",
+                return rec.halt(st.unstep(half), t_prev, layer.gamma, "mass_drift",
                                 rec.drift, t_new, s)
             if swept:
                 st.advance()
             elif s < steps:
-                st.u *= st.phase  # the next leading half-kick: same modulus, same phase
+                st.kick(half)  # the next leading half-kick: the sample used st.phase
             elif li + 1 < len(layers):
                 rec.switch(t_new, layer.gamma, layers[li + 1].gamma)
             t_prev = t_new

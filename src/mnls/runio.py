@@ -19,6 +19,7 @@ Snapshot layout (all little-endian):
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -31,7 +32,8 @@ from typing import IO
 import numpy as np
 
 from .diagnostics import SERIES_COLUMNS
-from .errors import CorruptSnapshot, EmptySeries, MissingColumn, UnreadableSeries
+from .errors import (CorruptSnapshot, EmptySeries, InvalidResolution, MissingColumn,
+                     UnreadableSeries)
 from .lattice import ComplexField, make_grid
 
 __all__ = [
@@ -104,10 +106,10 @@ def read_snapshot(path: str | Path) -> ComplexField:
         half_width, time = struct.unpack_from("<dd", raw, off)
         off += 16
         grid = make_grid(dim, half_width, ns[0])
-        count = 2 * int(np.prod(ns))
-        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
-    except (struct.error, ValueError) as exc:
+        # the payload's own bits, signed zeros and infinities included, in one copy
+        payload = np.frombuffer(raw, dtype="<c16", count=math.prod(ns), offset=off)
+        vals = payload.reshape(grid.shape).astype(np.complex128)
+    except (struct.error, ValueError, OverflowError, InvalidResolution) as exc:
         raise CorruptSnapshot(f"{path}: truncated or malformed snapshot: {exc}") from exc
     return ComplexField(grid, vals, time)
 

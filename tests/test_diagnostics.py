@@ -13,6 +13,7 @@ import mnls
 from mnls.diagnostics import (
     SERIES_COLUMNS,
     DiagnosticsSample,
+    _vdot,
     sample_diagnostics,
     virial_residuals,
 )
@@ -133,6 +134,23 @@ def test_computed_and_supplied_derivatives_give_equal_samples(dim, n):
     for p in (3.0, 5.0):
         supplied = tuple(d.copy() for d in gradient)  # the sample uses them as scratch
         assert sample_diagnostics(u, -1.0, p) == sample_diagnostics(u, -1.0, p, supplied)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16384), (2, 128)])
+def test_variance_from_marginals_matches_the_radius_table(dim, n):
+    """The variance sums x^2 against the marginals of |u|^2, axis by axis; it
+    equals the sum against a |x|^2 table exactly in 1D, to rounding in 2D."""
+    g = make_grid(dim, half_width=8.0, n=n)
+    rng = np.random.default_rng(3)
+    u = ComplexField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    v = u.values
+    r2 = sum(x * x for x in g.meshes())
+    want = float(_vdot(r2, v.real * v.real + v.imag * v.imag)) * g.cell_volume
+    got = sample_diagnostics(u, -1.0, 3.0).variance
+    if dim == 1:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-14 * want
 
 
 _SAMPLE_SCRIPT = """

@@ -110,3 +110,37 @@ def test_field_copy_isolated():
     v.values[0] = 0.0
     assert u.values[0] == 1.0
     assert v.time == 1.5
+
+
+def test_laplacian_symbol_is_k_squared_per_axis():
+    g1, g2 = make_grid(1, 8.0, 64), make_grid(2, 8.0, 64)
+    k = g1.axis_wavenumbers()
+    (k2,) = g1.laplacian_symbol()
+    assert np.array_equal(k2, k * k)
+    kx2, ky2 = g2.laplacian_symbol()
+    assert kx2.shape == (64, 1) and ky2.shape == (1, 64)
+    assert np.array_equal(kx2 + ky2, k[:, None] ** 2 + k[None, :] ** 2)
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+def test_per_axis_layer_factors_multiply_to_the_layer_symbol(a):
+    """A 2D layer's sweep multiplies by exp(-i a dt k^2) of each axis in turn;
+    their product is exp(-i a dt |k|^2) to rounding."""
+    g, dt = make_grid(2, 8.0, 64), 2.5e-4
+    k = g.axis_wavenumbers()
+    full = np.exp(-1j * a * dt * (k[:, None] ** 2 + k[None, :] ** 2))
+    kx2, ky2 = g.laplacian_symbol()
+    product = np.exp(-1j * a * dt * kx2) * np.exp(-1j * a * dt * ky2)
+    assert np.max(np.abs(product - full)) <= 1e-15
+
+
+def test_2d_grid_tables_hold_no_field_sized_array():
+    """Every cached table of a 2D grid is O(n): per-axis arrays or their
+    broadcastable (n, 1) and (1, n) views."""
+    g = make_grid(2, 8.0, 64)
+    tables = [name for name, attr in vars(type(g)).items() if hasattr(attr, "cache_info")]
+    assert {"meshes", "laplacian_symbol", "derivative_symbols"} <= set(tables)
+    for name in tables:
+        result = getattr(g, name)()
+        for array in result if isinstance(result, tuple) else (result,):
+            assert array.size <= g.n, name

@@ -7,7 +7,7 @@ import mnls.propagator
 from mnls.errors import NonFiniteState
 from mnls.lattice import ComplexField, make_grid
 from mnls.mgmt_map import DispersionMap, normalized_map
-from mnls.profiles import ground_state_1d, pseudo_conformal_field
+from mnls.profiles import ground_state_1d, pseudo_conformal_field, sech_profile_2d
 from mnls.propagator import BlowupPolicy, ModelSpec, evolve
 
 
@@ -225,10 +225,10 @@ def _check_paired_samples(monkeypatch) -> list[bool]:
     original = mnls.propagator.sample_diagnostics
     paired = []
 
-    def checked(u, gamma, p, gradient=None):
+    def checked(u, gamma, p, gradient=None, *, scratch=None):
         paired.append(gradient is not None)
         if gradient is None:
-            return original(u, gamma, p)
+            return original(u, gamma, p, scratch=scratch)
         ref = original(u, gamma, p)
         got = original(u, gamma, p, gradient)
         assert got == ref
@@ -291,6 +291,25 @@ def test_mass_drift_policy_trips(grid1d, monkeypatch):
     assert final.time == log.t_detect
     ref = _march_to(ModelSpec("dm"), normalized_map(), u0, log.t_detect, 1e-3)
     assert np.max(np.abs(final.values - ref.values)) <= 1e-12 * u0.linf()
+
+
+def test_samples_on_the_borrowed_phase_buffer_change_no_bit(monkeypatch):
+    """A 2D sample uses the stepper's phase buffer as its scratch field and
+    the next leading half-kick rebuilds the phase; the run matches one whose
+    samples allocate their own scratch, bit for bit."""
+    g = make_grid(2, half_width=8.0, n=64)
+    u0 = sech_profile_2d(g, 5.0, 0.86)
+    args = (ModelSpec("dm"), DispersionMap(t_star=5e-4, t_period=1e-3), u0, 2e-3, 2.5e-4, 1)
+    borrowed, final = evolve(*args)
+    original = mnls.propagator.sample_diagnostics
+
+    def own_scratch(u, gamma, p, gradient=None, *, scratch=None):
+        return original(u, gamma, p, gradient)
+
+    monkeypatch.setattr(mnls.propagator, "sample_diagnostics", own_scratch)
+    own, own_final = evolve(*args)
+    assert len(borrowed.samples) == 9 and borrowed.samples == own.samples
+    assert final.values.tobytes() == own_final.values.tobytes()
 
 
 def test_evolve_rejects_bad_arguments(grid1d):
