@@ -124,15 +124,16 @@ def initial_data(run: RunSpec, profile: dict) -> tuple[ComplexField, TrajectoryL
 
     Closed-form kinds go to `field_from_record`.  A `backward_construction`
     record's other keys go to `backward_blowup_data` next to the run's
-    model, grid, `dt_target`, `sample_every` and policy.  Raises ConfigError
+    model, map, grid, `dt_target`, `sample_every` and policy.  Raises ConfigError
     for a malformed record.
     """
     if not _is_constructed(profile):
         return field_from_record(run.grid, profile), None
     params = {k: v for k, v in profile.items() if k != "kind"}
     try:
-        return backward_blowup_data(model=run.model, grid=run.grid, dt_target=run.dt_target,
-                                    sample_every=run.sample_every, policy=run.policy, **params)
+        return backward_blowup_data(model=run.model, disp_map=run.disp_map, grid=run.grid,
+                                    dt_target=run.dt_target, sample_every=run.sample_every,
+                                    policy=run.policy, **params)
     except (TypeError, ValueError, WrongDimension) as exc:
         raise ConfigError(f"bad backward_construction profile {profile!r}: {exc}") from exc
 
@@ -226,8 +227,8 @@ def run_experiment(target: str | dict, out_dir: str | Path, overrides: dict | No
     if start["status"] != "constructed":
         return start
     out = Path(start["out_dir"])
-    log, final = evolve(run.model, run.disp_map, start["u0"], run.t_end, run.dt_target,
-                        run.sample_every, run.policy)
+    log, final = evolve(run.model, run.disp_map.layer_partition(0.0, run.t_end), start["u0"],
+                        run.dt_target, run.sample_every, run.policy)
     write_snapshot(out / ("final.mnls" if log.completed else "last_stable.mnls"), final)
     meta = _write_run_artifacts(out, config, run.grid, log.status, log, start["log"])
     return {"status": log.status, "t_detect": log.t_detect, "out_dir": str(out), "meta": meta,

@@ -3,14 +3,15 @@
 A map takes the value -gamma_minus on (0, t_star] and +gamma_plus on
 (t_star, t_period], extended periodically and left-continuously.  The
 epsilon factor compresses the period: the scaled map is gamma(t/epsilon),
-switching at epsilon*t_star and epsilon*t_period.  A map may also be
-played backwards about a pivot, gamma(pivot - t), which is what backward
-constructions integrate against.
+switching at epsilon*t_star and epsilon*t_period.  A map only runs
+forwards; a backward construction marches the mirror image of its layer
+partition instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,6 @@ class DispersionMap:
     t_star: float = 1.0
     t_period: float = 2.0
     epsilon: float = 1.0
-    reversed_pivot: float | None = None
 
     def __post_init__(self):
         if not (self.gamma_minus > 0.0 and self.gamma_plus > 0.0):
@@ -55,40 +55,19 @@ class DispersionMap:
         """Physical period, epsilon * t_period."""
         return self.epsilon * self.t_period
 
-    def _forward_left(self, t: float) -> float:
+    def gamma_at(self, t: float) -> float:
+        """Map value at time t >= 0.
+
+        Left-continuous in t; in particular gamma_at(0.0) takes the value at
+        the end of the previous period.  Raises NegativeTime for t < 0.
+        """
+        if t < 0.0:
+            raise NegativeTime(f"map queried at t={t}")
         # left-continuous reduction: residue in (0, t_period]
         s = (t / self.epsilon) % self.t_period
         if s == 0.0:
             s = self.t_period
         return -self.gamma_minus if s <= self.t_star else self.gamma_plus
-
-    def _forward_right(self, t: float) -> float:
-        # right-continuous reduction: residue in [0, t_period)
-        s = (t / self.epsilon) % self.t_period
-        return -self.gamma_minus if s < self.t_star else self.gamma_plus
-
-    def gamma_at(self, t: float) -> float:
-        """Map value at time t >= 0.
-
-        Left-continuous in t for forward and reversed maps alike; in
-        particular gamma_at(0.0) takes the value at the end of the previous
-        period.  Raises NegativeTime for t < 0.
-        """
-        if t < 0.0:
-            raise NegativeTime(f"map queried at t={t}")
-        if self.reversed_pivot is None:
-            return self._forward_left(t)
-        # Reflecting a left-continuous map makes it right-continuous, so the
-        # reversed value at t is the forward right-limit at pivot - t.
-        return self._forward_right(self.reversed_pivot - t)
-
-    def reverse(self, pivot: float) -> "DispersionMap":
-        """Play the map backwards about `pivot`; involutive for equal pivots."""
-        if self.reversed_pivot is None:
-            return dataclasses.replace(self, reversed_pivot=float(pivot))
-        if self.reversed_pivot == pivot:
-            return dataclasses.replace(self, reversed_pivot=None)
-        raise ValueError("cannot re-reverse about a different pivot")
 
     def _breakpoints(self, t_begin: float, t_end: float) -> list[float]:
         """Switch times strictly inside (t_begin, t_end), sorted ascending.
@@ -100,21 +79,12 @@ class DispersionMap:
         per = self.period
         ts = self.epsilon * self.t_star
         out = []
-        if self.reversed_pivot is None:
-            k0 = int(np.floor(t_begin / per)) - 1
-            k1 = int(np.ceil(t_end / per)) + 1
-            for k in range(k0, k1 + 1):
-                for b in (k * per, k * per + ts):
-                    if t_begin < b < t_end:
-                        out.append(b)
-        else:
-            piv = self.reversed_pivot
-            k0 = int(np.floor((piv - t_end) / per)) - 1
-            k1 = int(np.ceil((piv - t_begin) / per)) + 1
-            for k in range(k0, k1 + 1):
-                for b in (piv - k * per, piv - (k * per + ts)):
-                    if t_begin < b < t_end:
-                        out.append(b)
+        k0 = int(np.floor(t_begin / per)) - 1
+        k1 = int(np.ceil(t_end / per)) + 1
+        for k in range(k0, k1 + 1):
+            for b in (k * per, k * per + ts):
+                if t_begin < b < t_end:
+                    out.append(b)
         return sorted(out)
 
     def layer_partition(self, t_begin: float, t_end: float) -> list[Layer]:
@@ -130,7 +100,7 @@ class DispersionMap:
             raise EmptyWindow(f"window ({t_begin}, {t_end}] is empty")
         # A switch computed a few ulps off an edge (k * period need not round
         # like the edge does) is snapped onto it, so it leaves no sliver layer.
-        tol = 4.0 * np.spacing(max(t_end, abs(self.reversed_pivot or 0.0)))
+        tol = 4.0 * np.spacing(t_end)
         inner = [b for b in self._breakpoints(t_begin, t_end)
                  if b - t_begin > tol and t_end - b > tol]
         layers: list[Layer] = []
@@ -146,15 +116,16 @@ class DispersionMap:
     def from_dict(cls, d: dict) -> "DispersionMap":
         """Build a map from its config record; raises ConfigError for an
         unknown key, so a misspelled parameter cannot fall back to a default,
-        and for a value that is not a real number."""
+        and for a value that is not a finite real number (an infinite period
+        or epsilon would pass every range check and lose a layer)."""
         if not isinstance(d, dict):
             raise ConfigError(f"map must be a record, got {d!r}")
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown map keys: {unknown}")
-        not_real = sorted(k for k, v in d.items() if not is_real(v))
+        not_real = sorted(k for k, v in d.items() if not (is_real(v) and math.isfinite(v)))
         if not_real:
-            raise ConfigError(f"map values must be real numbers: {not_real}")
+            raise ConfigError(f"map values must be finite real numbers: {not_real}")
         # absent keys take the dataclass defaults; the cast keeps integer-valued
         # JSON times and gammas printing as floats in the run's events
         return cls(**{k: float(v) for k, v in d.items()})

@@ -12,7 +12,9 @@ Numer. Anal. 23, 1986).  Both substeps are exact: the nonlinear phase
 leaves |u| untouched pointwise and the linear sweep multiplies by a
 unit-modulus symbol, so the grid mass is conserved to rounding no matter
 how badly resolved the run is.  Layer boundaries are never straddled;
-each layer gets its own uniform step dividing its length.
+each layer gets its own uniform step dividing its length.  `evolve` takes
+the layer list it marches, so a forward run and a backward construction
+drive the same loop.
 
 The stepping is fused, buffered and, in 1D, paired.  Each run owns three
 field-sized buffers: the field, a phase factor and one real array holding
@@ -59,7 +61,7 @@ import numpy as np
 from .diagnostics import DiagnosticsSample, layer_energy, sample_diagnostics
 from .errors import NonFiniteState, is_real
 from .lattice import ComplexField, Grid
-from .mgmt_map import DispersionMap, Layer
+from .mgmt_map import Layer
 
 __all__ = ["ModelSpec", "BlowupPolicy", "TrajectoryLog", "evolve"]
 
@@ -74,8 +76,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("dm", "nm"):
             raise ValueError(f"model kind must be 'dm' or 'nm', got {self.kind!r}")
-        if self.p is not None and not self.p > 1.0:
-            raise ValueError("nonlinearity power p must exceed 1")
+        if self.p is not None and not (is_real(self.p) and math.isfinite(self.p) and self.p > 1.0):
+            raise ValueError(f"nonlinearity power p must be a finite real number above 1, "
+                             f"got {self.p!r}")
 
     def resolve_p(self, dim: int) -> float:
         return self.p if self.p is not None else 1.0 + 4.0 / dim
@@ -294,14 +297,14 @@ def _steps_for(length: float, dt_target: float) -> int:
 
 def evolve(
     model: ModelSpec,
-    disp_map: DispersionMap,
+    layers: list[Layer],
     u0: ComplexField,
-    t_end: float,
     dt_target: float,
     sample_every: int = 1,
     policy: BlowupPolicy | None = None,
 ) -> tuple[TrajectoryLog, ComplexField]:
-    """March u0 from its own time u0.time to t_end through the map's layers.
+    """March u0 through consecutive layers, from layers[0].t_begin, which must
+    be u0's own time, to layers[-1].t_end.
 
     Per layer the step count is ceil(length / dt_target) and the realized
     dt divides the layer length exactly, so every gamma discontinuity is
@@ -317,8 +320,9 @@ def evolve(
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     grid, t_begin = u0.grid, u0.time
+    if layers[0].t_begin != t_begin:
+        raise ValueError(f"layers start at t={layers[0].t_begin}, u0 at t={t_begin}")
     p = model.resolve_p(grid.dim)
-    layers = disp_map.layer_partition(t_begin, t_end)
     ik = grid.derivative_symbols()[0]
 
     st = _Stepper(u0.values, p, grid.laplacian_symbol())
@@ -370,4 +374,4 @@ def evolve(
             elif li + 1 < len(layers):
                 rec.switch(t_new, layer.gamma, layers[li + 1].gamma)
             t_prev = t_new
-    return rec.log, ComplexField(grid, st.u, t_end)
+    return rec.log, ComplexField(grid, st.u, layers[-1].t_end)

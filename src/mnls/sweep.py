@@ -64,8 +64,8 @@ def _run_cell(config: dict) -> dict:
     try:
         run = build_run(config)
         u0 = field_from_record(run.grid, config["profile"])
-        log, _ = evolve(run.model, run.disp_map, u0, run.t_end, run.dt_target,
-                        run.sample_every, run.policy)
+        log, _ = evolve(run.model, run.disp_map.layer_partition(0.0, run.t_end), u0,
+                        run.dt_target, run.sample_every, run.policy)
         ts = np.array([s.t for s in log.samples])
         linf = np.array([s.linf for s in log.samples])
         peaks = period_peaks(ts, linf, run.disp_map.period, run.t_end)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 import pytest
 
@@ -69,36 +70,60 @@ def criteria_board():
 def catalog_run(tmp_path_factory):
     """Factory: run a catalog experiment once per session, cache the summary.
 
-    The first call submits every catalog id, most planned work first, to a
-    pool with one worker process per CPU, so a session that uses no catalog
-    run starts no pool.  An id the pool has not started yet when a test asks
-    for it runs in this process instead of waiting for the queue.
+    The first call starts a pool with one worker process per CPU and a
+    feeder thread that hands it the catalog ids, most planned work first,
+    one per free worker, so a session that uses no catalog run starts no
+    pool.  An id the feeder has not handed out yet when a test asks for it
+    runs in this process instead of waiting for the queue.  No future is
+    ever cancelled: stopping the workers of a partial session fails the
+    pool's pending futures, which raises in its management thread for a
+    cancelled one.
     """
     root = tmp_path_factory.mktemp("catalog_runs")
+    queued = sorted(catalog_ids(), key=_planned_point_steps, reverse=True)
+    lock = threading.Lock()  # an id moves out of `queued` under it, once
     futures: dict = {}
     summaries: dict[str, dict] = {}
-    pool = None
+    pool = feeder = None
+
+    def feed():
+        busy = set()
+        while True:
+            if len(busy) == os.cpu_count():
+                busy = wait(busy, return_when=FIRST_COMPLETED).not_done
+            with lock:
+                if not queued:
+                    return
+                name = queued.pop(0)
+                futures[name] = pool.submit(run_experiment, name, root / name)
+            busy.add(futures[name])
 
     def runner(name: str) -> dict:
-        nonlocal pool
+        nonlocal pool, feeder
         if name not in summaries:
             if pool is None:
                 pool = ProcessPoolExecutor(os.cpu_count(),
                                            mp_context=multiprocessing.get_context("spawn"))
-                for other in sorted(catalog_ids(), key=_planned_point_steps, reverse=True):
-                    futures[other] = pool.submit(run_experiment, other, root / other)
-            future = futures[name]
-            summaries[name] = (run_experiment(name, root / name) if future.cancel()
-                               else future.result())
+                feeder = threading.Thread(target=feed, daemon=True)
+                feeder.start()
+            with lock:
+                here = name in queued
+                if here:
+                    queued.remove(name)
+            summaries[name] = (run_experiment(name, root / name) if here
+                               else futures[name].result())
         return summaries[name]
 
     yield runner
     if pool is not None:
+        with lock:
+            queued.clear()
         unread = [f for f in futures.values() if not f.done()]
-        pool.shutdown(wait=not unread, cancel_futures=True)
+        pool.shutdown(wait=not unread)
         if unread:  # a partial session: stop the runs no test asked for
             for worker in multiprocessing.active_children():
                 worker.terminate()
+        feeder.join()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -76,11 +76,15 @@ def test_runs_call_through_the_traced_names(tracing, tmp_path):
     for artifact in ("series_csv", "events_jsonl", "meta_json", "snapshot"):
         assert c["runio.bytes." + artifact] > 0, artifact
 
-    tracer, _, names = _traced(tracing, lambda: run_experiment(
+    tracer, summary, names = _traced(tracing, lambda: run_experiment(
         _tiny({"kind": "backward_construction", "layer_index": 1, "blowup_time": 2.5}),
         tmp_path / "b"))
     assert "constructor.backward" in names
     assert tracer.counts["constructor.steps"] > 0
+    # the construction's mirrored partition is counted next to the run's own
+    meta = summary["meta"]
+    assert tracer.counts["mgmt_map.layers"] == (meta["stepping"]["layers"]
+                                                + meta["construction"]["layers"])
     assert tracer.counts["runio.bytes.construction_csv"] > 0
 
 

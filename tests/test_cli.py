@@ -102,6 +102,25 @@ def test_run_missing_json_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("map", "t_period"), ("map", "epsilon"),
+                                          ("map", "gamma_minus"), ("map", "t_star"),
+                                          ("model", "p")])
+def test_run_non_finite_map_or_power_exits_one(tmp_path, capsys, section, key):
+    """JSON Infinity passes every range check: an infinite period runs one
+    layer, gamma_minus or p ends in a numerical fault.  All are config errors."""
+    config = _tiny_config()
+    config[section] = config[section] | {key: float("inf")}
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(json.dumps(config))
+    assert "Infinity" in cfg.read_text()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "x" / "series.csv").exists()
+
+
 def test_construct_nm_succeeds(tmp_path, capsys):
     out = tmp_path / "seed"
     code = main(["construct", "nm-blowup-T2.5", "--grid", "1024", "--dt", "1e-3",

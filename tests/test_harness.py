@@ -416,7 +416,8 @@ def test_2d_evolve_holds_three_field_buffers():
     marginals; a field-sized symbol, |x|^2 table and sample scratch made 5.03."""
     g = make_grid(2, half_width=8.0, n=128)
     u0 = sech_profile_2d(g, 5.0, 0.86)
-    args = (ModelSpec("dm"), DispersionMap(t_star=5e-4, t_period=1e-3), u0, 2e-3, 2.5e-4, 1)
+    layers = DispersionMap(t_star=5e-4, t_period=1e-3).layer_partition(0.0, 2e-3)
+    args = (ModelSpec("dm"), layers, u0, 2.5e-4, 1)
     evolve(*args)  # fill the grid's cached tables
     assert _traced_peak(evolve, *args) < 3.5 * _FIELD
 

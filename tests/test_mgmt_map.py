@@ -1,10 +1,13 @@
-"""Management map values, layer partitions, and time reversal."""
+"""Management map values, layer partitions, time reversal and config records."""
 
 import numpy as np
 import pytest
 
+from mnls.constructor import backward_blowup_data
 from mnls.errors import ConfigError, EmptyWindow, NegativeTime
+from mnls.lattice import make_grid
 from mnls.mgmt_map import DispersionMap, normalized_map
+from mnls.propagator import ModelSpec
 
 
 def test_unit_map_values():
@@ -98,37 +101,49 @@ def test_partition_empty_window_rejected():
 
 
 # === reversal =============================================================
+# A construction plays the map backwards from the pivot n * period by
+# mirroring the forward partition on (0, pivot]; its auxiliary run records
+# the layers it marched.
 
 
-def test_reverse_is_involutive():
-    m = normalized_map()
-    assert m.reverse(4.0).reverse(4.0) == m
-    with pytest.raises(ValueError):
-        m.reverse(4.0).reverse(2.0)
+def _mirrored_layers(m, layer_index):
+    g = make_grid(1, half_width=12 * np.pi, n=64)
+    _, aux = backward_blowup_data(ModelSpec("nm"), m, layer_index,
+                                  layer_index * m.period + 0.5, g,
+                                  dt_target=0.25, sample_every=10**9)
+    return aux.layer_steps
+
+
+def _gamma_in(layers, t):
+    """The gamma of the mirrored layer (a, b] holding t."""
+    (gamma,) = [ls["gamma"] for ls in layers if ls["t_begin"] < t <= ls["t_end"]]
+    return gamma
 
 
 def test_reversed_values_mirror_forward():
-    """gamma_reversed(t) equals the forward value just after pivot - t."""
+    """The mirrored gamma at t equals the forward value just after pivot - t."""
     m = normalized_map()
-    r = m.reverse(4.0)
-    # forward map on (3, 4] is +1, so reversed on (0, 1] must be +1
-    assert r.gamma_at(0.5) == 1.0
+    r = _mirrored_layers(m, 2)  # pivot 4
+    # forward map on (3, 4] is +1, so mirrored on (0, 1] must be +1
+    assert _gamma_in(r, 0.5) == 1.0
     # forward on (2, 3] is -1
-    assert r.gamma_at(1.5) == -1.0
-    assert r.gamma_at(2.5) == 1.0
-    assert r.gamma_at(3.5) == -1.0
-    # left-continuity of the reversed map at its own switches
-    assert r.gamma_at(1.0) == 1.0
-    assert r.gamma_at(2.0) == -1.0
+    assert _gamma_in(r, 1.5) == -1.0
+    assert _gamma_in(r, 2.5) == 1.0
+    assert _gamma_in(r, 3.5) == -1.0
+    # left-continuity of the mirrored layers at their own switches
+    assert _gamma_in(r, 1.0) == 1.0
+    assert _gamma_in(r, 2.0) == -1.0
+    for t in np.linspace(0.05, 3.95, 40):
+        assert _gamma_in(r, t) == m.gamma_at(4.0 - t + 1e-9)
 
 
 def test_reversed_partition_tiles_pivot_window():
-    r = normalized_map().reverse(4.0)
-    layers = r.layer_partition(0.0, 4.0)
+    layers = _mirrored_layers(normalized_map(), 2)
     assert len(layers) == 4
-    assert [l.gamma for l in layers] == [1.0, -1.0, 1.0, -1.0]
-    assert layers[0].t_begin == 0.0
-    assert layers[-1].t_end == 4.0
+    assert [ls["gamma"] for ls in layers] == [1.0, -1.0, 1.0, -1.0]
+    assert layers[0]["t_begin"] == 0.0
+    assert layers[-1]["t_end"] == 4.0
+    assert all(a["t_end"] == b["t_begin"] for a, b in zip(layers, layers[1:]))
 
 
 def test_dict_round_trip():
@@ -136,12 +151,13 @@ def test_dict_round_trip():
     record = {"gamma_minus": 0.5, "gamma_plus": 1.5, "t_star": 0.25, "t_period": 1.0,
               "epsilon": 2}
     assert DispersionMap.from_dict(record) == m
-    assert DispersionMap.from_dict({**record, "reversed_pivot": 3}) == m.reverse(3.0)
     assert DispersionMap.from_dict({}) == normalized_map()
 
 
-@pytest.mark.parametrize("record", [{"gamma_minu": 3.0}, {"t_star": 1.0, "period": 2.0}])
+@pytest.mark.parametrize("record", [{"gamma_minu": 3.0}, {"t_star": 1.0, "period": 2.0},
+                                    {"reversed_pivot": 3}])
 def test_from_dict_rejects_unknown_keys(record):
-    """A misspelled parameter must not silently run the default map."""
+    """A misspelled parameter must not silently run the default map, and a
+    map has no key beyond its five parameters."""
     with pytest.raises(ConfigError):
         DispersionMap.from_dict(record)

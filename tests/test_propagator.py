@@ -26,7 +26,7 @@ def test_model_spec_validation():
 def _one_step(kind, gamma, u, dt):
     """A single Strang step of evolve inside a first layer of value -gamma."""
     disp = DispersionMap(gamma_minus=gamma, gamma_plus=1.0, t_star=1.0, t_period=2.0)
-    log, out = evolve(ModelSpec(kind), disp, u, dt, dt)
+    log, out = evolve(ModelSpec(kind), disp.layer_partition(0.0, dt), u, dt)
     assert log.completed and log.layer_steps[0]["steps"] == 1
     return out
 
@@ -82,9 +82,8 @@ def dm_run(grid1d):
     u0 = pseudo_conformal_field(grid1d, blowup_time=1.5)
     return evolve(
         ModelSpec("dm"),
-        normalized_map(),
+        normalized_map().layer_partition(0.0, 2.0),
         u0,
-        2.0,
         1e-3,
         sample_every=20,
         policy=BlowupPolicy(amplitude_factor=50.0),
@@ -138,9 +137,8 @@ def test_standing_wave_energy_drift_within_layer(grid1d):
     u0 = ground_state_1d(grid1d)
     log, final = evolve(
         ModelSpec("dm"),
-        normalized_map(),
+        normalized_map().layer_partition(0.0, 1.0),
         u0,
-        1.0,
         1e-3,
         sample_every=50,
     )
@@ -156,14 +154,14 @@ def test_second_order_self_convergence(grid1d):
     error ratio of (1 - 1/64)/(1/4 - 1/64) = 4.2 between dt and dt/2."""
     u0 = pseudo_conformal_field(grid1d, blowup_time=1.5)
     model = ModelSpec("dm")
-    disp = normalized_map()
+    layers = normalized_map().layer_partition(0.0, 1.0)
     pol = BlowupPolicy(amplitude_factor=50.0)
     coarse = 1e-3
-    ref = evolve(model, disp, u0, 1.0, coarse / 8.0, sample_every=10**9, policy=pol)[1]
+    ref = evolve(model, layers, u0, coarse / 8.0, sample_every=10**9, policy=pol)[1]
     den = np.sqrt(grid1d.integrate(np.abs(ref.values) ** 2))
     errs = []
     for dt in (coarse, coarse / 2.0):
-        out = evolve(model, disp, u0, 1.0, dt, sample_every=10**9, policy=pol)[1]
+        out = evolve(model, layers, u0, dt, sample_every=10**9, policy=pol)[1]
         num = np.sqrt(grid1d.integrate(np.abs(out.values - ref.values) ** 2))
         errs.append(num / den)
     ratio = errs[0] / errs[1]
@@ -177,9 +175,8 @@ def test_nm_momentum_monotone_at_critical_mass(grid1d):
     u0 = pseudo_conformal_field(grid1d, blowup_time=2.5, conjugate=True)
     log, _ = evolve(
         ModelSpec("nm"),
-        normalized_map(),
+        normalized_map().layer_partition(0.0, 2.0),
         u0,
-        2.0,
         1e-3,
         sample_every=20,
         policy=BlowupPolicy(amplitude_factor=50.0),
@@ -195,10 +192,10 @@ def test_blowup_detection_semantics(grid1d):
     """A profile concentrating at T = 0.5 in a pure focusing layer trips the
     amplitude cap; the violating state is discarded, not returned."""
     u0 = pseudo_conformal_field(grid1d, blowup_time=0.5)
-    focusing = DispersionMap(t_star=1e6, t_period=2e6)
+    focusing = DispersionMap(t_star=1e6, t_period=2e6).layer_partition(0.0, 1.0)
     policy = BlowupPolicy(amplitude_factor=2.3)
     log, final = evolve(
-        ModelSpec("dm"), focusing, u0, 1.0, 5e-4, sample_every=10, policy=policy
+        ModelSpec("dm"), focusing, u0, 5e-4, sample_every=10, policy=policy
     )
     assert log.status == "blowup"
     assert not log.completed
@@ -248,8 +245,8 @@ def test_paired_gradients_are_exact(monkeypatch, kind, p, every):
     paired = _check_paired_samples(monkeypatch)
     g = make_grid(1, half_width=12 * np.pi, n=256)
     u0 = pseudo_conformal_field(g, blowup_time=1.5)
-    disp = DispersionMap(epsilon=0.3)  # layers of length 0.3: three switches
-    log, _ = evolve(ModelSpec(kind, p), disp, u0, 1.0, 1e-2, sample_every=every,
+    layers = DispersionMap(epsilon=0.3).layer_partition(0.0, 1.0)  # three switches
+    log, _ = evolve(ModelSpec(kind, p), layers, u0, 1e-2, sample_every=every,
                     policy=BlowupPolicy(amplitude_factor=50.0))
     assert log.completed and len(paired) == len(log.samples)
     assert sum(paired) == sum((ls["steps"] - 1) // every for ls in log.layer_steps) > 0
@@ -264,7 +261,7 @@ def test_halt_right_after_a_paired_sample(grid1d, monkeypatch, every):
     u0 = pseudo_conformal_field(grid1d, blowup_time=0.5)
     focusing = DispersionMap(t_star=1e6, t_period=2e6)
     model, dt = ModelSpec("dm"), 5e-4
-    log, final = evolve(model, focusing, u0, 1.0, dt, sample_every=every,
+    log, final = evolve(model, focusing.layer_partition(0.0, 1.0), u0, dt, sample_every=every,
                         policy=BlowupPolicy(amplitude_factor=1.05))
     trip = [e for e in log.events if e["type"] == "blowup"][0]
     assert trip["reason"] == "amplitude"
@@ -281,9 +278,8 @@ def test_mass_drift_policy_trips(grid1d, monkeypatch):
     paired = _check_paired_samples(monkeypatch)
     u0 = ground_state_1d(grid1d)
     policy = BlowupPolicy(mass_drift_tol=1e-17)
-    log, final = evolve(
-        ModelSpec("dm"), normalized_map(), u0, 1.0, 1e-3, sample_every=1, policy=policy
-    )
+    log, final = evolve(ModelSpec("dm"), normalized_map().layer_partition(0.0, 1.0), u0, 1e-3,
+                        sample_every=1, policy=policy)
     assert log.status == "blowup"
     ev = [e for e in log.events if e["type"] == "blowup"][0]
     assert ev["reason"] == "mass_drift"
@@ -299,7 +295,8 @@ def test_samples_on_the_borrowed_phase_buffer_change_no_bit(monkeypatch):
     samples allocate their own scratch, bit for bit."""
     g = make_grid(2, half_width=8.0, n=64)
     u0 = sech_profile_2d(g, 5.0, 0.86)
-    args = (ModelSpec("dm"), DispersionMap(t_star=5e-4, t_period=1e-3), u0, 2e-3, 2.5e-4, 1)
+    layers = DispersionMap(t_star=5e-4, t_period=1e-3).layer_partition(0.0, 2e-3)
+    args = (ModelSpec("dm"), layers, u0, 2.5e-4, 1)
     borrowed, final = evolve(*args)
     original = mnls.propagator.sample_diagnostics
 
@@ -315,14 +312,17 @@ def test_samples_on_the_borrowed_phase_buffer_change_no_bit(monkeypatch):
 def test_evolve_rejects_bad_arguments(grid1d):
     u0 = ground_state_1d(grid1d)
     with pytest.raises(ValueError):
-        evolve(ModelSpec("dm"), normalized_map(), u0, 1.0, 1e-3, sample_every=0)
+        evolve(ModelSpec("dm"), normalized_map().layer_partition(0.0, 1.0), u0, 1e-3,
+               sample_every=0)
+    with pytest.raises(ValueError, match="layers start"):  # u0 is stamped t = 0
+        evolve(ModelSpec("dm"), normalized_map().layer_partition(0.5, 1.0), u0, 1e-3)
 
 
 def test_sampling_cadence(grid1d):
     """Samples land every sample_every steps plus the layer ends."""
     u0 = ground_state_1d(grid1d)
     log, _ = evolve(
-        ModelSpec("dm"), normalized_map(), u0, 2.0, 0.25, sample_every=2
+        ModelSpec("dm"), normalized_map().layer_partition(0.0, 2.0), u0, 0.25, sample_every=2
     )
     ts = [s.t for s in log.samples]
     assert ts == [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -337,10 +337,10 @@ def test_fused_kicks_change_no_result(kind, p):
     square, identity and general-power exponent paths)."""
     g = make_grid(1, half_width=12 * np.pi, n=256)
     u0 = pseudo_conformal_field(g, blowup_time=1.5)
-    disp = DispersionMap(epsilon=0.3)  # layers of length 0.3: five switches
+    layers = DispersionMap(epsilon=0.3).layer_partition(0.0, 1.6)  # five switches
     policy = BlowupPolicy(amplitude_factor=50.0)
     (dense, f1), (sparse, f7) = (
-        evolve(ModelSpec(kind, p), disp, u0, 1.6, 1e-2, sample_every=k, policy=policy)
+        evolve(ModelSpec(kind, p), layers, u0, 1e-2, sample_every=k, policy=policy)
         for k in (1, 7)
     )
     assert dense.completed and sparse.completed
@@ -356,7 +356,7 @@ def _march_to(model, disp, u0, t, dt):
     """The state at time t of an uncapped run from u0 (u0 itself at t = 0)."""
     if t == 0.0:
         return u0
-    return evolve(model, disp, u0, t, dt, sample_every=10**9)[1]
+    return evolve(model, disp.layer_partition(0.0, t), u0, dt, sample_every=10**9)[1]
 
 
 def test_halt_inside_a_fused_stretch_returns_the_last_stable_state(grid1d):
@@ -367,8 +367,9 @@ def test_halt_inside_a_fused_stretch_returns_the_last_stable_state(grid1d):
     focusing = DispersionMap(t_star=1e6, t_period=2e6)
     model, dt = ModelSpec("dm"), 5e-4
     policy = BlowupPolicy(amplitude_factor=2.3)
-    dense_log, dense = evolve(model, focusing, u0, 1.0, dt, sample_every=1, policy=policy)
-    log, final = evolve(model, focusing, u0, 1.0, dt, sample_every=9, policy=policy)
+    layers = focusing.layer_partition(0.0, 1.0)
+    dense_log, dense = evolve(model, layers, u0, dt, sample_every=1, policy=policy)
+    log, final = evolve(model, layers, u0, dt, sample_every=9, policy=policy)
     trip = [e for e in log.events if e["type"] == "blowup"][0]
     step = round(trip["t_violation"] / dt)
     assert step % 9 and (step - 1) % 9  # neither the trip nor the step before is sampled

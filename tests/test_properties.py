@@ -1,4 +1,4 @@
-"""Property tests: layer tiling, map reversal, the config merge rule,
+"""Property tests: layer tiling, the config merge rule,
 snapshot and series round trips, and the clean rejection of malformed
 input on the command line."""
 
@@ -42,13 +42,11 @@ def maps(draw):
 
 @st.composite
 def windows(draw):
-    """A map, played forwards or backwards, and a window (t_begin, t_end] on it."""
+    """A map and a window (t_begin, t_end] on it."""
     disp = draw(maps())
     per = disp.period
     t_begin = draw(st.floats(0.0, 20.0 * per))
     t_end = t_begin + draw(st.floats(1e-3 * per, 20.0 * per))
-    if draw(st.booleans()):
-        disp = disp.reverse(draw(st.floats(0.0, 50.0 * per)))
     return disp, t_begin, t_end
 
 
@@ -68,13 +66,6 @@ def test_layer_partition_tiles_its_window(window):
         assert left.t_end == right.t_begin
         assert left.gamma != right.gamma
     assert all(layer.t_end > layer.t_begin for layer in layers)
-
-
-@given(maps(), st.floats(0.0, 1e3))
-def test_reverse_is_an_involution(disp, pivot):
-    rev = disp.reverse(pivot)
-    assert rev.reversed_pivot == pivot
-    assert rev.reverse(pivot) == disp
 
 
 # -- config merging ------------------------------------------------------------
