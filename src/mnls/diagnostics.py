@@ -14,19 +14,27 @@ obeys dI/dt = 4*gamma*P and dP/dt = 4*gamma*E when the Laplacian carries
 gamma, and dI/dt = 4*P, dP/dt = 4*E when the nonlinearity does; P is then
 piecewise linear and I piecewise quadratic in t, so a three-point
 difference of the sampled series isolates the solver error.
+
+`sample_diagnostics` returns one sample as a DiagnosticsSample.  A run
+keeps its samples in a SampleTable, one float64 row per sample in
+SERIES_COLUMNS order, and builds a DiagnosticsSample only when a row is
+read; readers of whole series (`virial_residuals`, the sweep, the
+series.csv writer) take columns or row blocks from the table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InsufficientSamples
 from .lattice import ComplexField, Grid, spectral_derivative
 
-__all__ = ["DiagnosticsSample", "LayerResiduals", "layer_energy", "period_peaks",
+__all__ = ["DiagnosticsSample", "LayerResiduals", "SampleTable", "layer_energy", "period_peaks",
            "sample_diagnostics", "virial_residuals"]
 
 # fixed column order shared with the series.csv writer
@@ -45,6 +53,8 @@ SERIES_COLUMNS = (
 
 @dataclass(frozen=True, slots=True)
 class DiagnosticsSample:
+    """One sample's values; its fields are in SERIES_COLUMNS order."""
+
     t: float
     layer_gamma: float
     mass: float
@@ -55,19 +65,76 @@ class DiagnosticsSample:
     momentum: float
     linf: float
 
-    def as_row(self) -> tuple[float, ...]:
-        """Values in SERIES_COLUMNS order."""
-        return (
-            self.t,
-            self.layer_gamma,
-            self.mass,
-            self.kinetic,
-            self.potential,
-            self.energy,
-            self.variance,
-            self.momentum,
-            self.linf,
-        )
+
+_FIELDS = tuple(f.name for f in fields(DiagnosticsSample))
+_values = operator.attrgetter(*_FIELDS)
+# rows that iteration and `rows` turn into Python objects at a time
+_BLOCK = 256
+
+
+class SampleTable:
+    """A run's samples as one float64 table, a row per sample in SERIES_COLUMNS
+    order: 72 bytes a sample instead of a DiagnosticsSample's ~430.
+
+    It reads like a list of DiagnosticsSample: `len`, indexing (negative
+    indices too), iteration and `==` build rows on demand, and a slice is a
+    new table.  Iteration converts a block of rows at a time, so it never
+    holds the whole log as Python objects.  `column(name)` returns a field's
+    values as an array without making rows.  The table grows by doubling,
+    and pickles only its filled rows.
+    """
+
+    def __init__(self, rows=()):
+        """A table holding `rows`, an (n, 9) array-like in SERIES_COLUMNS order."""
+        data = np.array(rows, dtype=np.float64).reshape(-1, len(_FIELDS))
+        self._n = len(data)
+        self._data = data if self._n else np.empty((16, len(_FIELDS)))
+
+    def append(self, sample: DiagnosticsSample) -> None:
+        if self._n == len(self._data):
+            grown = np.empty((2 * self._n, len(_FIELDS)))
+            grown[:self._n] = self._data
+            self._data = grown
+        self._data[self._n] = _values(sample)
+        self._n += 1
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SampleTable(self._data[:self._n][index])
+        i = operator.index(index)
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("sample index out of range")
+        return DiagnosticsSample(*self._data[i].tolist())
+
+    def rows(self) -> Iterator[list[float]]:
+        """The rows as lists of Python floats, converted a block at a time."""
+        for start in range(0, self._n, _BLOCK):
+            yield from self._data[start:min(start + _BLOCK, self._n)].tolist()
+
+    def __iter__(self) -> Iterator[DiagnosticsSample]:
+        return (DiagnosticsSample(*row) for row in self.rows())
+
+    def column(self, name: str) -> np.ndarray:
+        """A copy of one field's values over all samples (`t`, `linf`, `variance`...)."""
+        return self._data[:self._n, _FIELDS.index(name)].copy()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the table's buffer, filled or not."""
+        return self._data.nbytes
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleTable):
+            return NotImplemented
+        return np.array_equal(self._data[:self._n], other._data[:other._n])
+
+    def __reduce__(self):
+        return SampleTable, (self._data[:self._n],)
 
 
 # OpenBLAS runs a dot product over more than 10,000 elements on several
@@ -197,35 +264,34 @@ def virial_residuals(log, model) -> list[LayerResiduals]:
 
     The factor multiplying P and E is 4*gamma for Laplacian management and
     4 otherwise.  Interface samples anchor the one-sided differences but
-    never receive a residual of their own.  Raises InsufficientSamples when
-    no layer holds at least three samples.
+    never receive a residual of their own.  The log's `samples` is a
+    SampleTable, read by column without a row object per sample.  Raises
+    InsufficientSamples when no layer holds at least three samples.
     """
     switch_times = [e["t"] for e in log.events if e.get("type") == "layer_switch"]
-    groups: list[list] = [[] for _ in range(len(switch_times) + 1)]
-    idx = 0
-    for s in log.samples:
-        while idx < len(switch_times) and s.t > switch_times[idx]:
-            idx += 1
-        groups[idx].append(s)
+    samples = log.samples
+    t = samples.column("t")
+    # layer k holds the samples past k switch times; samples are in time order
+    layer = np.searchsorted(switch_times, t, side="left")
+    bounds = np.searchsorted(layer, np.arange(len(switch_times) + 2))
+    ivals, pvals, evals, gammas = (samples.column(name) for name in
+                                   ("variance", "momentum", "energy", "layer_gamma"))
     dm_like = model.kind == "dm"
     out = []
-    for grp in groups:
-        if len(grp) < 3:
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo < 3:
             continue
-        t = np.array([s.t for s in grp])
-        ivals = np.array([s.variance for s in grp])
-        pvals = np.array([s.momentum for s in grp])
-        evals = np.array([s.energy for s in grp])
-        gamma = grp[1].layer_gamma
+        ts, iv, pv, ev = t[lo:hi], ivals[lo:hi], pvals[lo:hi], evals[lo:hi]
+        gamma = float(gammas[lo + 1])
         factor = 4.0 * gamma if dm_like else 4.0
-        di = _three_point_derivative(t, ivals)
-        dp = _three_point_derivative(t, pvals)
+        di = _three_point_derivative(ts, iv)
+        dp = _three_point_derivative(ts, pv)
         out.append(
             LayerResiduals(
                 gamma=gamma,
-                times=t[1:-1],
-                residual1=np.abs(di - factor * pvals[1:-1]),
-                residual2=np.abs(dp - factor * evals[1:-1]),
+                times=ts[1:-1],
+                residual1=np.abs(di - factor * pv[1:-1]),
+                residual2=np.abs(dp - factor * ev[1:-1]),
             )
         )
     if not out:

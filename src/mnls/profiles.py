@@ -49,9 +49,12 @@ def _real(**params) -> None:
 
 def _finite_field(grid: Grid, vals: np.ndarray, t: float = 0.0) -> ComplexField:
     """Profile samples as a field; parameters that make them non-finite
-    (a NaN omega, an infinite amplitude) raise ValueError."""
+    (a NaN omega, an infinite amplitude) or all zero (a zero scale, an
+    infinite blowup time) raise ValueError."""
     if not np.isfinite(vals).all():
         raise ValueError("profile parameters give a non-finite field")
+    if not np.vdot(vals, vals).real > 0.0:
+        raise ValueError("profile parameters give a field of zero mass")
     return ComplexField(grid, vals, t)
 
 

@@ -45,10 +45,13 @@ loop and checks the amplitude cap after every step (one step from a
 capped state cannot reach non-finite values, which keeps the
 NonFiniteState guard meaningful).  One recorder owns the TrajectoryLog
 and does all the rest: the samples, the mass-drift check at each one, the
-layer-switch events and the halt record.  On a halt the last stable state
-is rebuilt from the violating candidate by an inverse sweep and a
-backward half-kick, exact to rounding since the sweep is unitary and the
-kick keeps |u|.
+layer-switch events and the halt record.  The samples go into one float64
+table (`diagnostics.SampleTable`), a 72-byte row each, which builds a
+`DiagnosticsSample` only when a row is read.  A u0 of zero mass is a
+ValueError, since the drift check is relative to the first sample's mass.
+On a halt the last stable state is rebuilt from the violating candidate
+by an inverse sweep and a backward half-kick, exact to rounding since the
+sweep is unitary and the kick keeps |u|.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSample, layer_energy, sample_diagnostics
+from .diagnostics import DiagnosticsSample, SampleTable, layer_energy, sample_diagnostics
 from .errors import NonFiniteState, is_real
 from .lattice import ComplexField, Grid
 from .mgmt_map import Layer
@@ -111,7 +114,7 @@ class BlowupPolicy:
 
 @dataclass
 class TrajectoryLog:
-    samples: list = field(default_factory=list)
+    samples: SampleTable = field(default_factory=SampleTable)
     events: list = field(default_factory=list)
     layer_steps: list = field(default_factory=list)
     status: str = "completed"  # or "blowup"
@@ -241,8 +244,12 @@ class _Recorder:
                  gamma: float, scratch: np.ndarray):
         self.grid, self.p, self.tol = grid, p, policy.mass_drift_tol
         self.scratch = scratch
-        self.log = TrajectoryLog(samples=[self._diagnose(u, t, gamma)])
-        self.mass0 = self.log.samples[0].mass
+        first = self._diagnose(u, t, gamma)
+        if not first.mass > 0.0:
+            raise ValueError(f"u0 must have positive mass, got {first.mass!r}")
+        self.mass0 = first.mass
+        self.log = TrajectoryLog()
+        self.log.samples.append(first)
 
     def _diagnose(self, u: np.ndarray, t: float, gamma: float,
                   gradient: tuple[np.ndarray, ...] | None = None) -> DiagnosticsSample:

@@ -2,8 +2,9 @@
 
 Every writer goes through one temp-file-plus-rename context, so a crash
 never leaves a half-written artifact; series.csv is streamed through it
-row by row.  All float formatting uses Python's shortest round-trip repr
-so reruns of the same configuration are byte-identical.
+from a run's sample table, a block of rows at a time.  All float
+formatting uses Python's shortest round-trip repr so reruns of the same
+configuration are byte-identical.
 
 Snapshot layout (all little-endian):
 
@@ -31,7 +32,7 @@ from typing import IO
 
 import numpy as np
 
-from .diagnostics import SERIES_COLUMNS
+from .diagnostics import SERIES_COLUMNS, SampleTable
 from .errors import (CorruptSnapshot, EmptySeries, InvalidResolution, MissingColumn,
                      UnreadableSeries)
 from .lattice import ComplexField, make_grid
@@ -114,15 +115,11 @@ def read_snapshot(path: str | Path) -> ComplexField:
     return ComplexField(grid, vals, time)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_series_csv(path: str | Path, samples) -> None:
-    """Stream one header line and one row per sample, each cell a shortest repr."""
+def write_series_csv(path: str | Path, samples: SampleTable) -> None:
+    """Stream one header line and one line per table row, each cell a shortest repr."""
     with _atomic_file(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
-        fh.writelines(",".join(map(_fmt, s.as_row())) + "\n" for s in samples)
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in samples.rows())
 
 
 def read_series_csv(path: str | Path) -> dict[str, np.ndarray]:

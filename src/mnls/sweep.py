@@ -66,8 +66,7 @@ def _run_cell(config: dict) -> dict:
         u0 = field_from_record(run.grid, config["profile"])
         log, _ = evolve(run.model, run.disp_map.layer_partition(0.0, run.t_end), u0,
                         run.dt_target, run.sample_every, run.policy)
-        ts = np.array([s.t for s in log.samples])
-        linf = np.array([s.linf for s in log.samples])
+        ts, linf = log.samples.column("t"), log.samples.column("linf")
         peaks = period_peaks(ts, linf, run.disp_map.period, run.t_end)
         return {
             "status": log.status,

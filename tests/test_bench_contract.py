@@ -1,9 +1,13 @@
-"""The names the benchmark tracer wraps, and the calls that go through them.
+"""The names the benchmark tracer wraps, the calls that go through them, and
+the way the benchmark reads a run's log.
 
 perfbench/tracing.py replaces module attributes of the package with timing
 wrappers for one traced pass and puts the originals back afterwards.  A
 renamed attribute makes `--trace 1` fail, and a call that no longer goes
 through the attribute silently drops its counts; both fail here first.
+perfbench/workloads.py checks every run through `log.samples` as a
+sequence of rows, so a change to the sample log fails here before it fails
+the benchmark's checks.
 """
 
 import importlib
@@ -14,18 +18,28 @@ import numpy as np
 import pytest
 
 from mnls.harness import run_experiment
+from mnls.runio import read_series_csv
 from mnls.sweep import ManageabilityCriterion, sweep_manageability
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _perfbench_module(name: str):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _perfbench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
 
 
 def _tiny(profile: dict) -> dict:
@@ -114,3 +128,28 @@ def test_halted_run_takes_one_sample_per_recorded_sample(tracing, tmp_path):
     assert tracer.counts["diagnostics.samples"] == len(log.samples)
     assert tracer.counts["propagator.steps"] == steps
     assert summary["meta"]["stepping"]["total_steps"] == steps
+
+
+def test_benchmark_reads_the_log_as_rows(workloads, tmp_path):
+    """The output check of a catalog operation reads `samples[0].mass`, the
+    `.mass` of every sample by iteration, the FINAL_ROW_FIELDS of
+    `samples[-1]`, and `len(samples)` through the tracer; all agree with
+    the run's series.csv."""
+    config = _tiny({"kind": "scaled_ground_state"})
+    summary = run_experiment(config, tmp_path)
+    samples = summary["log"].samples
+    cols = read_series_csv(tmp_path / "series.csv")
+    named = {"variance": "I", "momentum": "P"}
+    assert len(samples) == len(cols["t"]) > 3
+    assert samples[0].mass == cols["mass"][0]
+    assert [s.mass for s in samples] == cols["mass"].tolist()
+    final = samples[-1]
+    for f in workloads.FINAL_ROW_FIELDS:
+        assert getattr(final, f) == cols[named.get(f, f)][-1], f
+
+    # the check itself: only the frozen reference row is missing for this run
+    outcome = workloads.Outcome("tiny", config, None)
+    outcome.result = summary
+    workloads._check("catalog-1d", outcome)
+    assert outcome.failures == ["no frozen final row"]
+    assert outcome.final_row == {f: getattr(final, f) for f in workloads.FINAL_ROW_FIELDS}

@@ -121,6 +121,25 @@ def test_run_non_finite_map_or_power_exits_one(tmp_path, capsys, section, key):
     assert not (tmp_path / "x" / "series.csv").exists()
 
 
+@pytest.mark.parametrize("experiment, profile", [
+    ("foc-cQ-1.03", {"scale": 0}),
+    ("dm-global-T1.5", {"blowup_time": float("inf")}),  # pseudo_conformal
+    ("nm-blowup-T2.5", {"blowup_time": float("inf")}),  # backward_construction
+])
+def test_run_zero_mass_profile_exits_one(tmp_path, capsys, experiment, profile):
+    """A profile that is zero everywhere (a zero scale; an infinite blowup
+    time, whose profile underflows to zero) has no mass to check drift
+    against: a config error, not a traceback."""
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "profile": profile, "grid": {"n": 64}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "zero mass" in err and "Traceback" not in err
+    assert not (tmp_path / "x" / "series.csv").exists()
+
+
 def test_construct_nm_succeeds(tmp_path, capsys):
     out = tmp_path / "seed"
     code = main(["construct", "nm-blowup-T2.5", "--grid", "1024", "--dt", "1e-3",

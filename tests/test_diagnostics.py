@@ -1,9 +1,9 @@
 """Functional evaluation and virial residual grouping."""
 
 import os
+import pickle
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,8 @@ import mnls
 from mnls.diagnostics import (
     SERIES_COLUMNS,
     DiagnosticsSample,
+    SampleTable,
+    _three_point_derivative,
     _vdot,
     sample_diagnostics,
     virial_residuals,
@@ -20,7 +22,7 @@ from mnls.diagnostics import (
 from mnls.errors import InsufficientSamples
 from mnls.lattice import ComplexField, make_grid
 from mnls.profiles import ground_state_1d, pseudo_conformal_field
-from mnls.propagator import ModelSpec
+from mnls.propagator import ModelSpec, TrajectoryLog
 
 # Frozen values for the profile concentrating at T = 1.5, sampled at t = 0
 # on the default box (half width 12*pi, 1024 nodes), evaluated in the
@@ -201,7 +203,9 @@ def test_sample_row_order_matches_series_columns():
         "P": s.momentum,
         "linf": s.linf,
     }
-    assert s.as_row() == tuple(by_column[c] for c in SERIES_COLUMNS)
+    table = SampleTable()
+    table.append(s)
+    assert next(table.rows()) == [by_column[c] for c in SERIES_COLUMNS]
 
 
 def _sample_at(t, gamma, variance, momentum, energy):
@@ -218,6 +222,13 @@ def _sample_at(t, gamma, variance, momentum, energy):
     )
 
 
+def _table(samples) -> SampleTable:
+    table = SampleTable()
+    for s in samples:
+        table.append(s)
+    return table
+
+
 def test_virial_residuals_vanish_on_exact_layer_data():
     """Quadratic I and linear P satisfying the layer identities exactly
     produce zero residuals even on nonuniform sample times."""
@@ -229,7 +240,7 @@ def test_virial_residuals_vanish_on_exact_layer_data():
         _sample_at(t, gamma, t * t, t / (2.0 * gamma), 1.0 / (8.0 * gamma**2))
         for t in ts
     ]
-    log = types.SimpleNamespace(samples=samples, events=[])
+    log = TrajectoryLog(samples=_table(samples), events=[])
     out = virial_residuals(log, ModelSpec("dm"))
     assert len(out) == 1
     lay = out[0]
@@ -243,8 +254,8 @@ def test_virial_residuals_group_by_switch_events():
     """A sample sitting exactly on a switch time anchors the earlier layer."""
     first = [_sample_at(t, -1.0, 0.0, 0.0, 0.0) for t in (0.0, 0.4, 0.8, 1.0)]
     second = [_sample_at(t, 1.0, 0.0, 0.0, 0.0) for t in (1.3, 1.6, 2.0)]
-    log = types.SimpleNamespace(
-        samples=first + second,
+    log = TrajectoryLog(
+        samples=_table(first + second),
         events=[{"type": "layer_switch", "t": 1.0}],
     )
     out = virial_residuals(log, ModelSpec("nm"))
@@ -254,9 +265,77 @@ def test_virial_residuals_group_by_switch_events():
 
 
 def test_virial_residuals_need_three_samples():
-    log = types.SimpleNamespace(
-        samples=[_sample_at(0.0, -1.0, 0.0, 0.0, 0.0), _sample_at(1.0, -1.0, 0.0, 0.0, 0.0)],
+    log = TrajectoryLog(
+        samples=_table([_sample_at(0.0, -1.0, 0.0, 0.0, 0.0),
+                        _sample_at(1.0, -1.0, 0.0, 0.0, 0.0)]),
         events=[],
     )
     with pytest.raises(InsufficientSamples):
         virial_residuals(log, ModelSpec("dm"))
+
+
+def _walked_residuals(samples, switch_times, dm_like):
+    """The residuals grouped by walking the samples as objects, one layer
+    per switch interval, each sample past the switch times it exceeds."""
+    groups = [[] for _ in range(len(switch_times) + 1)]
+    idx = 0
+    for s in samples:
+        while idx < len(switch_times) and s.t > switch_times[idx]:
+            idx += 1
+        groups[idx].append(s)
+    out = []
+    for grp in groups:
+        if len(grp) < 3:
+            continue
+        t = np.array([s.t for s in grp])
+        ivals = np.array([s.variance for s in grp])
+        pvals = np.array([s.momentum for s in grp])
+        evals = np.array([s.energy for s in grp])
+        factor = 4.0 * grp[1].layer_gamma if dm_like else 4.0
+        out.append((grp[1].layer_gamma, t[1:-1],
+                    np.abs(_three_point_derivative(t, ivals) - factor * pvals[1:-1]),
+                    np.abs(_three_point_derivative(t, pvals) - factor * evals[1:-1])))
+    return out
+
+
+def test_sample_table_reads_like_a_list_of_samples():
+    """A table of several thousand samples matches the list of the same
+    DiagnosticsSample objects row for row, holds at most twice its rows'
+    72 bytes, survives a pickle round trip, and gives the residuals of
+    the sample-by-sample grouping."""
+    rng = np.random.default_rng(3)
+    rows = 5001
+    values = rng.standard_normal((rows, len(SERIES_COLUMNS)))
+    values[:, 0] = np.cumsum(rng.uniform(1e-3, 2e-3, rows))
+    # layers switch on some sample times and between others
+    switch_times = [float(values[1000, 0]), float(values[2500, 0]) + 1e-4,
+                    float(values[2502, 0]), float(values[4000, 0])]
+    values[:, 1] = np.where(values[:, 0] > switch_times[1], 1.0, -1.0)
+    samples = [DiagnosticsSample(*row) for row in values.tolist()]
+    table = _table(samples)
+
+    assert len(table) == rows and table.nbytes <= 2 * 72 * rows
+    assert table[0] == samples[0] and table[-1] == samples[-1]
+    assert table[rows - 1] == table[-1] and table[-rows] == samples[0]
+    for bad in (rows, -rows - 1):
+        with pytest.raises(IndexError):
+            table[bad]
+    assert list(table) == samples
+    assert [s.mass for s in table] == [s.mass for s in samples]
+    assert list(table[10:300:7]) == samples[10:300:7] and len(table[-5:]) == 5
+    assert table == SampleTable(values) and table != table[:-1]
+    assert np.array_equal(table.column("variance"), values[:, 6])
+    again = pickle.loads(pickle.dumps(table))
+    assert again == table and list(again) == samples
+    assert len(pickle.dumps(table)) < 1.1 * 72 * rows
+
+    events = [{"type": "layer_switch", "t": t} for t in switch_times]
+    for kind in ("dm", "nm"):
+        got = virial_residuals(TrajectoryLog(samples=table, events=events), ModelSpec(kind))
+        want = _walked_residuals(samples, switch_times, kind == "dm")
+        assert len(got) == len(want) == 4
+        for lay, (gamma, times, res1, res2) in zip(got, want):
+            assert lay.gamma == gamma
+            assert np.array_equal(lay.times, times)
+            assert np.array_equal(lay.residual1, res1)
+            assert np.array_equal(lay.residual2, res2)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mnls.constructor
-from mnls.diagnostics import SERIES_COLUMNS, DiagnosticsSample
+from mnls.diagnostics import SERIES_COLUMNS, SampleTable
 from mnls.errors import (BlowupDuringConstruction, ConfigError, CorruptSnapshot, EmptySeries,
                          MissingColumn, MnlsError, UnreadableSeries)
 from mnls.harness import build_run, initial_data, resolve_config, run_experiment
@@ -283,7 +283,8 @@ def test_series_csv_round_trip(tmp_path):
 
     g = make_grid(1, half_width=6 * np.pi, n=256)
     u = ground_state_1d(g)
-    samples = [sample_diagnostics(u, -1.0, 5.0)]
+    samples = SampleTable()
+    samples.append(sample_diagnostics(u, -1.0, 5.0))
     path = tmp_path / "series.csv"
     write_series_csv(path, samples)
     cols = read_series_csv(path)
@@ -358,7 +359,7 @@ def _traced_peak(fn, *args) -> int:
 def long_series(tmp_path_factory):
     rng = np.random.default_rng(7)
     table = rng.standard_normal((_GUARD_ROWS, len(SERIES_COLUMNS))) * np.logspace(-3, 3, 9)
-    samples = [DiagnosticsSample(*row) for row in table.tolist()]
+    samples = SampleTable(table)
     path = tmp_path_factory.mktemp("long") / "series.csv"
     write_series_csv(path, samples)
     return samples, path

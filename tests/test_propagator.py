@@ -316,6 +316,10 @@ def test_evolve_rejects_bad_arguments(grid1d):
                sample_every=0)
     with pytest.raises(ValueError, match="layers start"):  # u0 is stamped t = 0
         evolve(ModelSpec("dm"), normalized_map().layer_partition(0.5, 1.0), u0, 1e-3)
+    # the mass-drift check divides by the first sample's mass
+    zero = ComplexField(grid1d, np.zeros(grid1d.shape, dtype=np.complex128), 0.0)
+    with pytest.raises(ValueError, match="positive mass"):
+        evolve(ModelSpec("dm"), normalized_map().layer_partition(0.0, 1.0), zero, 1e-3)
 
 
 def test_sampling_cadence(grid1d):
@@ -345,10 +349,10 @@ def test_fused_kicks_change_no_result(kind, p):
     )
     assert dense.completed and sparse.completed
     assert len(sparse.samples) < len(dense.samples)
-    rows = {s.t: np.array(s.as_row()) for s in dense.samples}
-    for s in sparse.samples:
-        ref = rows[s.t]
-        assert np.all(np.abs(np.array(s.as_row()) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+    rows = {row[0]: np.array(row) for row in dense.samples.rows()}
+    for row in sparse.samples.rows():
+        ref = rows[row[0]]
+        assert np.all(np.abs(np.array(row) - ref) <= 1e-12 * (1.0 + np.abs(ref)))
     assert np.max(np.abs(f7.values - f1.values)) <= 1e-12 * np.max(np.abs(f1.values))
 
 

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from mnls.catalog import catalog_ids
 from mnls.cli import main
-from mnls.diagnostics import SERIES_COLUMNS, DiagnosticsSample
+from mnls.diagnostics import SERIES_COLUMNS, SampleTable
 from mnls.errors import MnlsError, UnreadableSeries
 from mnls.harness import resolve_config
 from mnls.lattice import ComplexField, make_grid
@@ -150,7 +150,7 @@ def test_series_csv_round_trip_is_bitwise(rows):
     (which no run writes) is refused as unreadable."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "series.csv"
-        write_series_csv(path, [DiagnosticsSample(*row) for row in rows])
+        write_series_csv(path, SampleTable(rows))
         want = np.array(rows, dtype=np.float64)
         if not np.all(np.isfinite(want)):
             with pytest.raises(UnreadableSeries):
