@@ -7,16 +7,19 @@ every full map period must stay above a floor (the pulse survives without
 collapsing or dissolving).  The base profile must be closed-form: a
 backward-constructed base would repeat its construction in every cell.
 Cells are independent, so they are farmed out to a process pool of at
-most `max_workers` processes.  Results keep the deterministic Cartesian
-cell order regardless of completion order.
+most `max_workers` processes, by default one per CPU this process may run
+on.  The pool and `multiprocessing` are imported only when a sweep uses
+more than one worker, so importing the package or running a one-worker
+sweep loads neither.  Results keep the deterministic Cartesian cell order
+regardless of completion order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,18 +117,25 @@ def sweep_manageability(
                 and all(is_real(v) and math.isfinite(v) for v in vals)):
             raise ConfigError(f"sweep axis {key!r} needs a non-empty list of finite numbers, "
                               f"got {vals!r}")
+    if max_workers is None:
+        # the CPUs this process may run on; all of them where the OS keeps no affinity
+        max_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
+    elif not (isinstance(max_workers, numbers.Integral) and not isinstance(max_workers, bool)
+              and max_workers >= 1):
+        raise ConfigError(f"sweep workers must be a positive integer, got {max_workers!r}")
     names = list(axes)
     combos = list(itertools.product(*[list(map(float, axes[k])) for k in names]))
     map_keys = [("gamma_minus", "gamma_plus") if k == "gamma" else (k,) for k in names]
     configs = [resolve_config(base, {"map": {m: v for ms, v in zip(map_keys, c) for m in ms}})
                for c in combos]
 
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    max_workers = max(1, min(max_workers, len(configs)))
+    max_workers = min(max_workers, len(configs))
     if max_workers == 1:
         cells = [_run_cell(config) for config in configs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             cells = list(pool.map(_run_cell, configs))
 

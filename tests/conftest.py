@@ -2,10 +2,12 @@
 
 Catalog experiments are expensive (the 2D ones take a minute), and several
 acceptance checks grade the same runs, so each catalog id is executed at
-most once per session and its summary is shared.  numpy computes on one
-thread, so the runs go to a pool with one process per CPU.  The criteria
-board collects one verdict per numbered acceptance check and prints them as
-a block after the test summary, whether or not the individual tests passed.
+most once per session and its summary is shared; so is each refined or
+repeated variant of a catalog run that a check reads.  numpy computes on
+one thread, so the runs go to a pool with one process per usable CPU.  The
+criteria board collects one verdict per numbered acceptance check and
+prints them as a block after the test summary, whether or not the
+individual tests passed.
 """
 
 from __future__ import annotations
@@ -54,9 +56,28 @@ class CriteriaBoard:
 _BOARD = CriteriaBoard()
 
 
-def _planned_point_steps(name: str) -> float:
+# Every run the checks read, keyed (id, tag) to its overrides: the catalog's
+# own runs (tag None), the refined rungs of criteria 4 and 7 and criterion
+# 12's reruns.
+_RUNS = {
+    **{(name, None): None for name in catalog_ids()},
+    ("foc-first-layer-T0.5", "rung2048"):
+        {"grid": {"n": 2048}, "dt_target": 1e-4, "policy": {"amplitude_factor": 2.6}},
+    ("foc-first-layer-T0.5", "rung4096"):
+        {"grid": {"n": 4096}, "dt_target": 5e-5, "policy": {"amplitude_factor": 2.9}},
+    ("nm-blowup-T2.5", "refined"):
+        {"grid": {"n": 4096}, "dt_target": 2.5e-4, "policy": {"amplitude_factor": 11.2}},
+    **{(name, "rerun"): None
+       for name in ("foc-first-layer-T0.5", "dm-global-T1.5", "nm-revival-n2-T5.5")},
+}
+# the CPUs this process may run on; all of them where the OS keeps no affinity
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _planned_point_steps(key: tuple) -> float:
     """Grid points times planned steps: the work of a run that does not halt."""
-    config = resolve_config(name)
+    config = resolve_config(key[0], _RUNS[key])
     grid = config["grid"]
     return grid["n"] ** grid["dim"] * config["t_end"] / config["dt_target"]
 
@@ -70,49 +91,56 @@ def criteria_board():
 def catalog_run(tmp_path_factory):
     """Factory: run a catalog experiment once per session, cache the summary.
 
-    The first call starts a pool with one worker process per CPU and a
-    feeder thread that hands it the catalog ids, most planned work first,
-    one per free worker, so a session that uses no catalog run starts no
-    pool.  An id the feeder has not handed out yet when a test asks for it
-    runs in this process instead of waiting for the queue.  No future is
-    ever cancelled: stopping the workers of a partial session fails the
-    pool's pending futures, which raises in its management thread for a
-    cancelled one.
+    `catalog_run(name)` is the catalog's own run; `catalog_run(name, tag)`
+    is the catalog entry under the overrides `_RUNS[name, tag]`, in an
+    output directory of its own.  The first call starts a pool with one
+    worker process per usable CPU and a feeder thread that hands it every
+    run, most planned work first, one per free worker, so a session that
+    uses no catalog run starts no pool.  A run the feeder has
+    not handed out yet when a test asks for it runs in this process instead
+    of waiting for the queue.  No future is ever cancelled: stopping the
+    workers of a partial session fails the pool's pending futures, which
+    raises in its management thread for a cancelled one.
     """
     root = tmp_path_factory.mktemp("catalog_runs")
-    queued = sorted(catalog_ids(), key=_planned_point_steps, reverse=True)
-    lock = threading.Lock()  # an id moves out of `queued` under it, once
+    queued = sorted(_RUNS, key=_planned_point_steps, reverse=True)
+    lock = threading.Lock()  # a run moves out of `queued` under it, once
     futures: dict = {}
-    summaries: dict[str, dict] = {}
+    summaries: dict[tuple, dict] = {}
     pool = feeder = None
+
+    def run_args(key: tuple) -> tuple:
+        name, tag = key
+        return name, root / (f"{name}.{tag}" if tag else name), _RUNS[key]
 
     def feed():
         busy = set()
         while True:
-            if len(busy) == os.cpu_count():
+            if len(busy) == _WORKERS:
                 busy = wait(busy, return_when=FIRST_COMPLETED).not_done
             with lock:
                 if not queued:
                     return
-                name = queued.pop(0)
-                futures[name] = pool.submit(run_experiment, name, root / name)
-            busy.add(futures[name])
+                key = queued.pop(0)
+                futures[key] = pool.submit(run_experiment, *run_args(key))
+            busy.add(futures[key])
 
-    def runner(name: str) -> dict:
+    def runner(name: str, tag: str | None = None) -> dict:
         nonlocal pool, feeder
-        if name not in summaries:
+        key = (name, tag)
+        if key not in summaries:
             if pool is None:
-                pool = ProcessPoolExecutor(os.cpu_count(),
+                pool = ProcessPoolExecutor(_WORKERS,
                                            mp_context=multiprocessing.get_context("spawn"))
                 feeder = threading.Thread(target=feed, daemon=True)
                 feeder.start()
             with lock:
-                here = name in queued
+                here = key in queued
                 if here:
-                    queued.remove(name)
-            summaries[name] = (run_experiment(name, root / name) if here
-                               else futures[name].result())
-        return summaries[name]
+                    queued.remove(key)
+            summaries[key] = (run_experiment(*run_args(key)) if here
+                              else futures[key].result())
+        return summaries[key]
 
     yield runner
     if pool is not None:

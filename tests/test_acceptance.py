@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from mnls.diagnostics import period_peaks, sample_diagnostics, virial_residuals
-from mnls.harness import run_experiment
 from mnls.lattice import make_grid
 from mnls.mgmt_map import normalized_map
 from mnls.profiles import ground_state_1d, pseudo_conformal_field
@@ -111,21 +110,14 @@ def test_criterion_03_virial_residual_decay(criteria_board):
     assert ok, (res1, res2)
 
 
-def test_criterion_04_first_layer_blowup_refinement(criteria_board, catalog_run, tmp_path):
+def test_criterion_04_first_layer_blowup_refinement(criteria_board, catalog_run):
     """Detected collapse times march toward T = 0.5 under refinement and
-    never cross it."""
+    never cross it.  The rungs are the session's `rung2048` and `rung4096`
+    runs, whose grid, dt and cap overrides `conftest._RUNS` holds."""
     base = catalog_run("foc-first-layer-T0.5")
     rungs = [base["t_detect"]]
-    for n, dt, kappa in ((2048, 1e-4, 2.6), (4096, 5e-5, 2.9)):
-        summary = run_experiment(
-            "foc-first-layer-T0.5",
-            tmp_path / f"rung{n}",
-            overrides={
-                "grid": {"n": n},
-                "dt_target": dt,
-                "policy": {"amplitude_factor": kappa},
-            },
-        )
+    for tag in ("rung2048", "rung4096"):
+        summary = catalog_run("foc-first-layer-T0.5", tag)
         assert summary["status"] == "blowup"
         rungs.append(summary["t_detect"])
     in_window = all(0.40 <= t < 0.50 for t in rungs)
@@ -175,7 +167,9 @@ def test_criterion_06_nm_global_decaying_peaks(criteria_board, catalog_run):
     assert ok, (summary["status"], peaks)
 
 
-def test_criterion_07_constructed_second_layer_blowup(criteria_board, catalog_run, tmp_path):
+def test_criterion_07_constructed_second_layer_blowup(criteria_board, catalog_run):
+    """The refined run is the session's `refined` run, whose grid, dt and
+    cap overrides `conftest._RUNS` holds."""
     summary = catalog_run("nm-blowup-T2.5")
     u0 = read_snapshot(Path(summary["out_dir"]) / "u0.mnls")
     mass_dev = abs(u0.mass() - CRITICAL_MASS)
@@ -183,15 +177,7 @@ def test_criterion_07_constructed_second_layer_blowup(criteria_board, catalog_ru
     first_period = cols["linf"][cols["t"] <= 2.0]
     survives = float(np.max(first_period)) < 3.0
     t_base = summary["t_detect"]
-    refined = run_experiment(
-        "nm-blowup-T2.5",
-        tmp_path / "refined",
-        overrides={
-            "grid": {"n": 4096},
-            "dt_target": 2.5e-4,
-            "policy": {"amplitude_factor": 11.2},
-        },
-    )
+    refined = catalog_run("nm-blowup-T2.5", "refined")
     ok = (
         summary["status"] == "blowup"
         and 2.0 < t_base <= 2.5
@@ -344,12 +330,14 @@ def test_catalog_entries_end_as_expected(catalog_run):
     assert not wrong, wrong
 
 
-def test_criterion_12_byte_identical_reruns(criteria_board, catalog_run, tmp_path):
+def test_criterion_12_byte_identical_reruns(criteria_board, catalog_run):
+    """Each rerun is the session's `rerun` run: the same catalog entry in
+    another process and output directory."""
     names = ("foc-first-layer-T0.5", "dm-global-T1.5", "nm-revival-n2-T5.5")
     mismatches = []
     for name in names:
         first = catalog_run(name)
-        again = run_experiment(name, tmp_path / name)
+        again = catalog_run(name, "rerun")
         a = (Path(first["out_dir"]) / "series.csv").read_bytes()
         b = (Path(again["out_dir"]) / "series.csv").read_bytes()
         if a != b:

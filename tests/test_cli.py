@@ -268,6 +268,18 @@ def test_sweep_rejects_bad_criterion(tmp_path, capsys, criterion, message):
     assert "config error:" in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_non_positive_workers(tmp_path, capsys, workers):
+    plan = {"base": _tiny_config(), "axes": {"gamma": [1.0]},
+            "criterion": {"peak_floor": 0.5, "sup_cap": 3.0}}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(plan))
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "x"), "--workers", workers]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "positive integer" in err and "Traceback" not in err
+    assert not (tmp_path / "x" / "sweep.csv").exists()
+
+
 def test_sweep_rejects_malformed_axes(tmp_path, capsys):
     plan = {"base": _tiny_config(), "axes": {"gamma": "abc"},
             "criterion": {"peak_floor": 0.5, "sup_cap": 3.0}}

@@ -1,8 +1,15 @@
 """Manageability verdicts and the parameter sweep driver."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mnls
 from mnls.errors import ConfigError
 from mnls.sweep import ManageabilityCriterion, sweep_manageability, verdict
 
@@ -161,3 +168,44 @@ def test_sweep_rejects_constructed_base(monkeypatch):
     monkeypatch.setattr(mnls.sweep, "_run_cell", no_cell)
     with pytest.raises(ConfigError, match="closed-form"):
         sweep_manageability("nm-blowup-T2.5", {"gamma": [1.0]}, _crit(), max_workers=1)
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
+def test_sweep_rejects_workers_that_are_not_positive_integers(monkeypatch, workers):
+    """A bad worker count is refused before any cell runs."""
+    import mnls.sweep
+
+    def no_cell(job):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(mnls.sweep, "_run_cell", no_cell)
+    with pytest.raises(ConfigError, match="positive integer"):
+        sweep_manageability(_base_config(), {"gamma": [1.0]}, _crit(), max_workers=workers)
+
+
+_NO_POOL_SCRIPT = """
+import json, sys
+import mnls
+from mnls.harness import resolve_config, run_experiment
+from mnls.sweep import ManageabilityCriterion, sweep_manageability
+base, out = json.loads(sys.argv[1]), sys.argv[2]
+assert run_experiment(base, out)["status"] == "completed"
+crit = ManageabilityCriterion(peak_floor=0.5, sup_cap=3.0)
+assert len(sweep_manageability(base, {"gamma": [0.8, 1.0]}, crit, max_workers=1)) == 2
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("multiprocessing", "concurrent"))))
+"""
+
+
+def test_runs_and_one_worker_sweeps_load_no_process_pool(tmp_path):
+    """Importing the package, a run and a one-worker sweep leave the process
+    pool stack unloaded: `multiprocessing` costs every process about 1.3 MiB.
+    The pool branch is covered by `test_sweep_pool_matches_sequential`."""
+    src = str(Path(mnls.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    base = {**_base_config(), "t_end": 0.1}
+    run = subprocess.run([sys.executable, "-c", _NO_POOL_SCRIPT, json.dumps(base),
+                          str(tmp_path / "run")],
+                         env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert json.loads(run.stdout) == []
