@@ -8,13 +8,15 @@ Verbs:
     list       show the experiment catalog
 
 Exit codes: 0 on success (a detected blowup is a reported outcome, not a
-failure), 1 for configuration errors, 2 for internal numerical faults.
+failure), 1 for configuration errors, files that cannot be written and a
+reader that closed stdout early, 2 for internal numerical faults.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -140,14 +142,23 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit cannot fail again (Python's documented SIGPIPE recipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NonFiniteState as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 2
-    except MnlsError as exc:
+    except (MnlsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -86,8 +86,9 @@ def backward_blowup_data(
     )
     layers = [Layer(pivot - l.t_end, pivot - l.t_begin, l.gamma)
               for l in reversed(disp_map.layer_partition(0.0, pivot))]
-    log, final = evolve(model, layers, seed, dt_target, sample_every, policy)
+    log, u0 = evolve(model, layers, seed, dt_target, sample_every, policy)
     if not log.completed:
         raise BlowupDuringConstruction(log.t_detect, log)
-    u0 = ComplexField(grid, np.conj(final.values), 0.0)
+    np.conjugate(u0.values, out=u0.values)  # the arrival state becomes u0 in place
+    u0.time = 0.0
     return u0, log

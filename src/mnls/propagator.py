@@ -16,15 +16,19 @@ each layer gets its own uniform step dividing its length.  `evolve` takes
 the layer list it marches, so a forward run and a backward construction
 drive the same loop.
 
-The stepping is fused, buffered and, in 1D, paired.  Each run owns three
-field-sized buffers: the field, a phase factor and one real array holding
-|u|^2 and then the kick exponent |u|^(p-1).  The layer symbol
-exp(-i a dt |k|^2) is the product of one factor per axis,
-exp(-i a dt k^2) over (n, 1) and (1, n) in 2D, rebuilt in place at each
-layer; the sweep multiplies by each in turn.  Nothing else field-sized
-lives for the run: a sample that differentiates on its own borrows the
-phase buffer as its scratch, since a kick rebuilds the factor from
-|u|^(p-1) before it is read again.
+The stepping is in place, fused, buffered and, in 1D, paired.  `evolve`
+marches the field it is given: u0's own array is the marching field, and
+u0 comes back advanced, so a caller who still needs the initial data
+passes `u0.copy()`.  Besides it the run owns one field-sized buffer, the
+phase buffer, so a 2D run holds two field-sized arrays.  The phase buffer
+carries |u|^2 and then the kick exponent |u|^(p-1) in its imaginary part,
+and a kick turns that exponent into the factor exp(-i b tau |u|^(p-1))
+in place, which spends it.  The layer symbol exp(-i a dt |k|^2) is the
+product of one factor per axis, exp(-i a dt k^2) over (n, 1) and (1, n)
+in 2D, rebuilt in place at each layer; the sweep multiplies by each in
+turn.  Nothing else field-sized lives for the run: a sample that
+differentiates on its own borrows the phase buffer as its scratch, and a
+kick after it takes the exponent afresh from the field.
 The sweep runs in place (`fft` in 1D, `fftn` in 2D), and the |u|^2 taken
 after it serves both the amplitude check and the next kick, since a kick
 is a pure phase rotation.  The trailing half-kick of one step and the
@@ -128,39 +132,37 @@ class TrajectoryLog:
 class _Stepper:
     """The run-lifetime buffers of one evolve call and the substeps on them.
 
-    ``u`` is the marching field, ``phase`` the kick factor, and ``nl`` the
-    kick exponent |u|^(p-1) of the last `modulus` call.  In 1D ``pair`` is
-    the two-row buffer of `lead`; 2D allocates none.  ``mult`` is the layer
+    ``u`` is the marching field (the caller's array), ``phase`` the kick
+    factor, whose imaginary part holds the kick exponent |u|^(p-1) between
+    a `modulus` call and the `kick` that spends it.  In 1D ``pair`` is the
+    two-row buffer of `lead`; 2D allocates none.  ``mult`` is the layer
     symbol as one factor per axis.  Every substep works in place, so a step
     allocates nothing of the field's size.
     """
 
-    def __init__(self, values: np.ndarray, p: float, lap: tuple[np.ndarray, ...]):
-        self.u = np.array(values, dtype=np.complex128)  # a copy: u0 stays untouched
-        self.phase = np.empty_like(self.u)
-        self.nl = np.empty(self.u.shape)
-        # the first half of the phase buffer's bytes as a real field, for Im(u)^2
-        self.imag2 = self.phase.reshape(-1).view(np.float64)[:self.u.size].reshape(self.u.shape)
+    def __init__(self, u: np.ndarray, p: float, lap: tuple[np.ndarray, ...]):
+        self.u = u
+        self.phase = np.empty_like(u)
         self.lap = lap
         self.mult = tuple(np.empty(k2.shape, dtype=np.complex128) for k2 in lap)
         self.e = 0.5 * (p - 1.0)
-        if self.u.ndim == 1:
+        if u.ndim == 1:
             self.fft, self.ifft = np.fft.fft, np.fft.ifft
-            self.pair = np.empty((2,) + self.u.shape, dtype=np.complex128)
+            self.pair = np.empty((2,) + u.shape, dtype=np.complex128)
         else:
             self.fft, self.ifft = np.fft.fftn, np.fft.ifftn
             self.pair = None  # a 2D sweep already batches its rows
 
     def modulus(self) -> float:
-        """Return max |u|^2 and leave the kick exponent |u|^(p-1) in nl.
+        """Return max |u|^2 and leave the kick exponent |u|^(p-1) in phase.imag.
 
         The phase factor is dead here (a kick rebuilds it before it is read),
-        so Im(u)^2 goes into its memory; a contiguous view is as fast as a
-        new array.
+        so |u|^2 is summed in its imaginary part with Im(u)^2 going through
+        its real part.
         """
-        u, nl = self.u, self.nl
+        u, nl = self.u, self.phase.imag
         np.multiply(u.real, u.real, out=nl)
-        nl += np.multiply(u.imag, u.imag, out=self.imag2)
+        nl += np.multiply(u.imag, u.imag, out=self.phase.real)
         m2 = float(nl.max())
         if self.e == 2.0:
             np.multiply(nl, nl, out=nl)
@@ -171,12 +173,14 @@ class _Stepper:
     def kick(self, coeff: float) -> None:
         """Exact flow of i u_t = b |u|^(p-1) u over b*tau = coeff; leaves |u| alone.
 
-        The factor exp(-i coeff |u|^(p-1)) is built as cos + i sin in the
-        phase buffer's own real and imaginary parts, which is cheaper than
-        numpy's complex exp and agrees with it to rounding.
+        The factor exp(-i coeff |u|^(p-1)) is built from the exponent that
+        `modulus` left in phase.imag, as cos + i sin in the phase buffer's
+        own real and imaginary parts, which is cheaper than numpy's complex
+        exp and agrees with it to rounding.  This spends the exponent: the
+        next kick needs a `modulus` call first.
         """
         arg = self.phase.imag
-        np.multiply(self.nl, -coeff, out=arg)
+        arg *= -coeff
         np.cos(arg, out=self.phase.real)
         np.sin(arg, out=arg)
         self.u *= self.phase
@@ -216,8 +220,8 @@ class _Stepper:
         """Take the state `lead` swept as the marching field."""
         self.u[...] = self.pair[0]
 
-    def unstep(self, half: float) -> np.ndarray:
-        """Rebuild the state a step started from out of its post-sweep state.
+    def unstep(self, half: float) -> None:
+        """Rebuild in u the state a step started from out of its post-sweep state.
 
         The sweep is unitary and the kick keeps |u|, so an inverse sweep and
         a backward half-kick recover it to rounding.
@@ -229,7 +233,6 @@ class _Stepper:
         self.ifft(u, out=u)
         self.modulus()
         self.kick(-half)
-        return u
 
 
 class _Recorder:
@@ -282,18 +285,20 @@ class _Recorder:
             "potential": smp.potential, "mass": smp.mass,
         })
 
-    def halt(self, u: np.ndarray, t_stable: float, gamma: float, reason: str, value: float,
+    def halt(self, u: ComplexField, t_stable: float, gamma: float, reason: str, value: float,
              t_violation: float, steps: int) -> tuple[TrajectoryLog, ComplexField]:
-        """Close the log after a policy trip; u is the last stable state and
-        `steps` the steps the last layer computed, the violating one included."""
+        """Close the log after a policy trip and stamp u, which holds the last
+        stable state, with t_stable; `steps` are the steps the last layer
+        computed, the violating one included."""
         log = self.log
         log.layer_steps[-1]["steps"] = steps
+        u.time = t_stable
         if log.samples[-1].t < t_stable:
-            log.samples.append(self._diagnose(u, t_stable, gamma))
+            log.samples.append(self._diagnose(u.values, t_stable, gamma))
         log.status, log.t_detect = "blowup", t_stable
         log.events.append({"type": "blowup", "t_detect": t_stable, "t_violation": t_violation,
                            "reason": reason, "value": value})
-        return log, ComplexField(self.grid, u, t_stable)
+        return log, u
 
 
 def _steps_for(length: float, dt_target: float) -> int:
@@ -310,8 +315,8 @@ def evolve(
     sample_every: int = 1,
     policy: BlowupPolicy | None = None,
 ) -> tuple[TrajectoryLog, ComplexField]:
-    """March u0 through consecutive layers, from layers[0].t_begin, which must
-    be u0's own time, to layers[-1].t_end.
+    """March u0 in place through consecutive layers, from layers[0].t_begin,
+    which must be u0's own time, to layers[-1].t_end.
 
     Per layer the step count is ceil(length / dt_target) and the realized
     dt divides the layer length exactly, so every gamma discontinuity is
@@ -319,8 +324,13 @@ def evolve(
     steps, and at each layer end; layer-switch events carry the energies
     on both sides of the interface.
 
-    Returns the log and the last stable field.  On a policy trip the log
-    status is "blowup" with t_detect the last stable time.
+    Returns the log and u0 itself, advanced: its values are the last
+    stable state and its time layers[-1].t_end, or on a policy trip, where
+    the log status is "blowup", t_detect, the last stable time.  A caller
+    who needs the initial data afterwards passes `u0.copy()`; evolving an
+    advanced field over the same layers again fails the start-time check.
+    Besides the field, a run holds one field-sized buffer (two field-sized
+    arrays in 2D; 1D adds the two-row pair buffer).
     """
     if policy is None:
         policy = BlowupPolicy()
@@ -332,16 +342,18 @@ def evolve(
     p = model.resolve_p(grid.dim)
     ik = grid.derivative_symbols()[0]
 
+    u0.values = np.ascontiguousarray(u0.values, dtype=np.complex128)  # copies only a strided view
     st = _Stepper(u0.values, p, grid.laplacian_symbol())
     cap = policy.cap_for(math.sqrt(st.modulus()))
     rec = _Recorder(grid, p, policy, st.u, t_begin, layers[0].gamma, st.phase)
 
     # The trailing half-kick of a step and the leading half-kick of the next
     # are one full kick, split only where st.u must be a full-step state: at
-    # samples and layer ends.  st.nl holds the exponent of the current |u|.
+    # samples and layer ends.  A kick spends the exponent st.modulus() left
+    # in st.phase, so a kick that does not follow a modulus call makes one.
     # In 1D a mid-layer sample's gradient and the next step's sweep share one
     # batched transform pair, and that step skips its own sweep.  Any other
-    # sample uses st.phase as scratch, so the next kick rebuilds it from st.nl.
+    # sample uses st.phase as scratch.
     t_prev, swept = t_begin, False
     for li, layer in enumerate(layers):
         a, b = model.layer_coefficients(layer.gamma)
@@ -350,6 +362,7 @@ def evolve(
         rec.enter(layer, dt, steps)
         st.symbol(-1j * a * dt)
         half = b * dt / 2.0
+        st.modulus()
         st.kick(half)
         for s in range(1, steps + 1):
             if not swept:  # else the last sample's batched call did this sweep
@@ -361,8 +374,8 @@ def evolve(
             if not math.isfinite(m2):
                 raise NonFiniteState(f"non-finite state at t={t_new:.9g} without a policy trigger")
             if m2 > cap * cap:
-                return rec.halt(st.unstep(half), t_prev, layer.gamma, "amplitude",
-                                math.sqrt(m2), t_new, s)
+                st.unstep(half)
+                return rec.halt(u0, t_prev, layer.gamma, "amplitude", math.sqrt(m2), t_new, s)
             if s < steps and s % sample_every:
                 st.kick(2.0 * half)
                 t_prev = t_new
@@ -371,14 +384,17 @@ def evolve(
             swept = s < steps and st.pair is not None
             gradient = (st.lead(ik),) if swept else None
             if not rec.sample(st.u, t_new, layer.gamma, gradient):
+                st.modulus()
                 st.kick(-half)
-                return rec.halt(st.unstep(half), t_prev, layer.gamma, "mass_drift",
-                                rec.drift, t_new, s)
+                st.unstep(half)
+                return rec.halt(u0, t_prev, layer.gamma, "mass_drift", rec.drift, t_new, s)
             if swept:
                 st.advance()
             elif s < steps:
-                st.kick(half)  # the next leading half-kick: the sample used st.phase
+                st.modulus()  # the next leading half-kick: the sample used st.phase
+                st.kick(half)
             elif li + 1 < len(layers):
                 rec.switch(t_new, layer.gamma, layers[li + 1].gamma)
             t_prev = t_new
-    return rec.log, ComplexField(grid, st.u, layers[-1].t_end)
+    u0.time = layers[-1].t_end
+    return rec.log, u0

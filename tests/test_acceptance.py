@@ -70,7 +70,8 @@ def test_criterion_02_standing_wave_fidelity(criteria_board):
     ref = np.exp(-1j * 1.0) * q.values
     errs = []
     for dt in (1e-3, 5e-4, 2.5e-4):
-        log, final = evolve(ModelSpec("dm"), normalized_map().layer_partition(0.0, 1.0), q, dt)
+        log, final = evolve(ModelSpec("dm"), normalized_map().layer_partition(0.0, 1.0),
+                            q.copy(), dt)
         assert log.completed
         errs.append(float(np.sqrt(grid.integrate(np.abs(final.values - ref) ** 2)) / den))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
@@ -93,7 +94,7 @@ def test_criterion_03_virial_residual_decay(criteria_board):
     model = ModelSpec("dm")
     res1, res2 = [], []
     for dt in (1e-3, 5e-4, 2.5e-4):
-        log, _ = evolve(model, normalized_map().layer_partition(0.0, 2.0), u0, dt,
+        log, _ = evolve(model, normalized_map().layer_partition(0.0, 2.0), u0.copy(), dt,
                         sample_every=1)
         assert log.completed
         layers = virial_residuals(log, model)

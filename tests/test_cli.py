@@ -1,6 +1,8 @@
 """End-to-end command line checks, driven through main(argv)."""
 
 import json
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -306,3 +308,35 @@ def test_exit_code_one_on_generic_fault(monkeypatch, capsys):
     monkeypatch.setattr("mnls.cli._cmd_list", boom)
     assert main(["list"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_unwritable_output_paths_exit_one(tmp_path, capsys):
+    """A plot into a missing directory and a run under a regular file end in
+    an error line on stderr and exit code 1, not a traceback."""
+    series = tmp_path / "s.csv"
+    series.write_text("t,linf\n0.0,1.0\n0.5,2.0\n")
+    assert main(["plot", str(series), "--out", str(tmp_path / "missing" / "x.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "foc-first-layer-T0.5", "--out", str(blocker / "sub"),
+                 "--t-end", "0.01"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_list_into_a_closed_pipe_ends_quietly(monkeypatch, capsys):
+    """stdout is a pipe whose reader is gone, so the flush inside main fails
+    every time: main exits 1 with nothing on stderr, and stdout is left on
+    devnull so that a later flush cannot fail again."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    pipe = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", pipe)
+    try:
+        assert main(["list"]) == 1
+        print("more", file=pipe, flush=True)
+    finally:
+        pipe.close()
+    assert capsys.readouterr().err == ""

@@ -56,7 +56,7 @@ def test_forward_evolution_returns_to_the_seed(grid1d, nm_construction):
     log, w = evolve(
         ModelSpec("nm"),
         normalized_map().layer_partition(0.0, 2.0),
-        u0,
+        u0.copy(),  # the fixture is shared by the module
         5e-4,
         sample_every=10**9,
         policy=BlowupPolicy(amplitude_factor=50.0),

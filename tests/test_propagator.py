@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mnls.propagator
+from mnls.diagnostics import sample_diagnostics
 from mnls.errors import NonFiniteState
 from mnls.lattice import ComplexField, make_grid
 from mnls.mgmt_map import DispersionMap, normalized_map
@@ -41,7 +42,7 @@ def test_strang_step_pure_linear_phase():
     for kind in ("dm", "nm"):
         for gamma in (0.4, 2.5):
             a, b = ModelSpec(kind).layer_coefficients(-gamma)
-            out = _one_step(kind, gamma, u, dt)
+            out = _one_step(kind, gamma, u.copy(), dt)
             expect = np.exp(-1j * (a + b) * dt) * np.exp(1j * x)
             assert np.max(np.abs(out.values - expect)) < 1e-13
             assert out.time == dt
@@ -57,7 +58,7 @@ def test_strang_step_pure_nonlinear_phase():
     for kind in ("dm", "nm"):
         for gamma in (0.4, 2.5):
             _, b = ModelSpec(kind).layer_coefficients(-gamma)
-            out = _one_step(kind, gamma, u, dt)
+            out = _one_step(kind, gamma, u.copy(), dt)
             expect = amp * np.exp(-1j * b * abs(amp) ** 4 * dt)
             assert np.max(np.abs(out.values - expect)) < 1e-14
 
@@ -138,7 +139,7 @@ def test_standing_wave_energy_drift_within_layer(grid1d):
     log, final = evolve(
         ModelSpec("dm"),
         normalized_map().layer_partition(0.0, 1.0),
-        u0,
+        u0.copy(),
         1e-3,
         sample_every=50,
     )
@@ -157,11 +158,11 @@ def test_second_order_self_convergence(grid1d):
     layers = normalized_map().layer_partition(0.0, 1.0)
     pol = BlowupPolicy(amplitude_factor=50.0)
     coarse = 1e-3
-    ref = evolve(model, layers, u0, coarse / 8.0, sample_every=10**9, policy=pol)[1]
+    ref = evolve(model, layers, u0.copy(), coarse / 8.0, sample_every=10**9, policy=pol)[1]
     den = np.sqrt(grid1d.integrate(np.abs(ref.values) ** 2))
     errs = []
     for dt in (coarse, coarse / 2.0):
-        out = evolve(model, layers, u0, dt, sample_every=10**9, policy=pol)[1]
+        out = evolve(model, layers, u0.copy(), dt, sample_every=10**9, policy=pol)[1]
         num = np.sqrt(grid1d.integrate(np.abs(out.values - ref.values) ** 2))
         errs.append(num / den)
     ratio = errs[0] / errs[1]
@@ -195,7 +196,7 @@ def test_blowup_detection_semantics(grid1d):
     focusing = DispersionMap(t_star=1e6, t_period=2e6).layer_partition(0.0, 1.0)
     policy = BlowupPolicy(amplitude_factor=2.3)
     log, final = evolve(
-        ModelSpec("dm"), focusing, u0, 5e-4, sample_every=10, policy=policy
+        ModelSpec("dm"), focusing, u0.copy(), 5e-4, sample_every=10, policy=policy
     )
     assert log.status == "blowup"
     assert not log.completed
@@ -261,7 +262,8 @@ def test_halt_right_after_a_paired_sample(grid1d, monkeypatch, every):
     u0 = pseudo_conformal_field(grid1d, blowup_time=0.5)
     focusing = DispersionMap(t_star=1e6, t_period=2e6)
     model, dt = ModelSpec("dm"), 5e-4
-    log, final = evolve(model, focusing.layer_partition(0.0, 1.0), u0, dt, sample_every=every,
+    log, final = evolve(model, focusing.layer_partition(0.0, 1.0), u0.copy(), dt,
+                        sample_every=every,
                         policy=BlowupPolicy(amplitude_factor=1.05))
     trip = [e for e in log.events if e["type"] == "blowup"][0]
     assert trip["reason"] == "amplitude"
@@ -278,8 +280,8 @@ def test_mass_drift_policy_trips(grid1d, monkeypatch):
     paired = _check_paired_samples(monkeypatch)
     u0 = ground_state_1d(grid1d)
     policy = BlowupPolicy(mass_drift_tol=1e-17)
-    log, final = evolve(ModelSpec("dm"), normalized_map().layer_partition(0.0, 1.0), u0, 1e-3,
-                        sample_every=1, policy=policy)
+    log, final = evolve(ModelSpec("dm"), normalized_map().layer_partition(0.0, 1.0), u0.copy(),
+                        1e-3, sample_every=1, policy=policy)
     assert log.status == "blowup"
     ev = [e for e in log.events if e["type"] == "blowup"][0]
     assert ev["reason"] == "mass_drift"
@@ -291,22 +293,66 @@ def test_mass_drift_policy_trips(grid1d, monkeypatch):
 
 def test_samples_on_the_borrowed_phase_buffer_change_no_bit(monkeypatch):
     """A 2D sample uses the stepper's phase buffer as its scratch field and
-    the next leading half-kick rebuilds the phase; the run matches one whose
+    the next leading half-kick takes its exponent afresh; the run matches one whose
     samples allocate their own scratch, bit for bit."""
     g = make_grid(2, half_width=8.0, n=64)
     u0 = sech_profile_2d(g, 5.0, 0.86)
     layers = DispersionMap(t_star=5e-4, t_period=1e-3).layer_partition(0.0, 2e-3)
-    args = (ModelSpec("dm"), layers, u0, 2.5e-4, 1)
-    borrowed, final = evolve(*args)
+
+    def run():
+        return evolve(ModelSpec("dm"), layers, u0.copy(), 2.5e-4, 1)
+
+    borrowed, final = run()
     original = mnls.propagator.sample_diagnostics
 
     def own_scratch(u, gamma, p, gradient=None, *, scratch=None):
         return original(u, gamma, p, gradient)
 
     monkeypatch.setattr(mnls.propagator, "sample_diagnostics", own_scratch)
-    own, own_final = evolve(*args)
+    own, own_final = run()
     assert len(borrowed.samples) == 9 and borrowed.samples == own.samples
     assert final.values.tobytes() == own_final.values.tobytes()
+
+
+def test_evolve_advances_the_field_it_is_given(grid1d):
+    """evolve marches u0's own array and returns u0, stamped with the end
+    time, or on a halt with t_detect and the last stable state the log ends
+    on; a second run of the advanced field over the same layers is refused."""
+    u0 = pseudo_conformal_field(grid1d, blowup_time=1.5)
+    values = u0.values
+    layers = normalized_map().layer_partition(0.0, 0.5)
+    ref = evolve(ModelSpec("dm"), layers, u0.copy(), 1e-3, sample_every=7)[1]
+    log, out = evolve(ModelSpec("dm"), layers, u0, 1e-3, sample_every=7)
+    assert log.completed and out is u0 and out.values is values
+    assert out.time == layers[-1].t_end == 0.5
+    assert out.values.tobytes() == ref.values.tobytes()
+    with pytest.raises(ValueError, match="layers start"):
+        evolve(ModelSpec("dm"), layers, u0, 1e-3)
+
+    u0 = pseudo_conformal_field(grid1d, blowup_time=0.5)
+    values = u0.values
+    focusing = DispersionMap(t_star=1e6, t_period=2e6).layer_partition(0.0, 1.0)
+    log, out = evolve(ModelSpec("dm"), focusing, u0, 5e-4, sample_every=9,
+                      policy=BlowupPolicy(amplitude_factor=2.3))
+    assert log.status == "blowup" and out is u0 and np.shares_memory(out.values, values)
+    assert out.time == log.t_detect == log.samples[-1].t
+    assert sample_diagnostics(out, -1.0, 5.0) == log.samples[-1]
+    with pytest.raises(ValueError, match="layers start"):
+        evolve(ModelSpec("dm"), focusing, u0, 5e-4)
+
+
+def test_evolve_marches_a_contiguous_copy_of_a_strided_field():
+    """A field whose values are not C-contiguous is copied once, and u0 takes
+    the copy as its values."""
+    g = make_grid(2, half_width=8.0, n=64)
+    base = sech_profile_2d(g, 5.0, 0.86).values
+    u0 = ComplexField(g, base.T, 0.0)
+    layers = DispersionMap(t_star=5e-4, t_period=1e-3).layer_partition(0.0, 5e-4)
+    ref = evolve(ModelSpec("dm"), layers, ComplexField(g, base.T.copy(), 0.0), 2.5e-4)[1]
+    _, out = evolve(ModelSpec("dm"), layers, u0, 2.5e-4)
+    assert out is u0 and out.values.flags.c_contiguous
+    assert not np.shares_memory(out.values, base)
+    assert out.values.tobytes() == ref.values.tobytes()
 
 
 def test_evolve_rejects_bad_arguments(grid1d):
@@ -344,7 +390,7 @@ def test_fused_kicks_change_no_result(kind, p):
     layers = DispersionMap(epsilon=0.3).layer_partition(0.0, 1.6)  # five switches
     policy = BlowupPolicy(amplitude_factor=50.0)
     (dense, f1), (sparse, f7) = (
-        evolve(ModelSpec(kind, p), layers, u0, 1e-2, sample_every=k, policy=policy)
+        evolve(ModelSpec(kind, p), layers, u0.copy(), 1e-2, sample_every=k, policy=policy)
         for k in (1, 7)
     )
     assert dense.completed and sparse.completed
@@ -357,10 +403,11 @@ def test_fused_kicks_change_no_result(kind, p):
 
 
 def _march_to(model, disp, u0, t, dt):
-    """The state at time t of an uncapped run from u0 (u0 itself at t = 0)."""
+    """The state at time t of an uncapped run from u0 (u0 itself at t = 0); u0
+    stays untouched."""
     if t == 0.0:
         return u0
-    return evolve(model, disp.layer_partition(0.0, t), u0, dt, sample_every=10**9)[1]
+    return evolve(model, disp.layer_partition(0.0, t), u0.copy(), dt, sample_every=10**9)[1]
 
 
 def test_halt_inside_a_fused_stretch_returns_the_last_stable_state(grid1d):
@@ -372,8 +419,8 @@ def test_halt_inside_a_fused_stretch_returns_the_last_stable_state(grid1d):
     model, dt = ModelSpec("dm"), 5e-4
     policy = BlowupPolicy(amplitude_factor=2.3)
     layers = focusing.layer_partition(0.0, 1.0)
-    dense_log, dense = evolve(model, layers, u0, dt, sample_every=1, policy=policy)
-    log, final = evolve(model, layers, u0, dt, sample_every=9, policy=policy)
+    dense_log, dense = evolve(model, layers, u0.copy(), dt, sample_every=1, policy=policy)
+    log, final = evolve(model, layers, u0.copy(), dt, sample_every=9, policy=policy)
     trip = [e for e in log.events if e["type"] == "blowup"][0]
     step = round(trip["t_violation"] / dt)
     assert step % 9 and (step - 1) % 9  # neither the trip nor the step before is sampled
