@@ -89,6 +89,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_plot(args) -> int:
     out = args.out or (Path(args.series).with_suffix("") .name + f".{args.column}.svg")
+    if Path(out).resolve() == Path(args.series).resolve():
+        raise MnlsError(f"--out {out} is the series file itself; the plot would overwrite it")
     emit_plot(args.series, args.column, out)
     print(f"wrote {out}")
     return 0

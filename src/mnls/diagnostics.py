@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InsufficientSamples
-from .lattice import ComplexField, Grid, spectral_derivative
+from .lattice import ComplexField, line_blocks, spectral_derivative
 
 __all__ = ["DiagnosticsSample", "LayerResiduals", "SampleTable", "layer_energy", "period_peaks",
            "sample_diagnostics", "virial_residuals"]
@@ -158,16 +158,6 @@ def _vdot(a: np.ndarray, b: np.ndarray):
     return total
 
 
-def _variance(g: Grid, amp2: np.ndarray):
-    """Sum of |x|^2 |u|^2 over the nodes.  In 2D it is summed per axis, x^2
-    against the marginal of |u|^2 over the other axis, so no |x|^2 table
-    is needed."""
-    x2 = g.axis_coords_squared()
-    if g.dim == 1:
-        return _vdot(x2, amp2)
-    return _vdot(x2, amp2.sum(axis=1)) + _vdot(x2, amp2.sum(axis=0))
-
-
 def layer_energy(kinetic: float, potential: float, gamma: float, p: float) -> float:
     """The energy kinetic/2 + gamma/(p+1) * potential of a layer of value gamma."""
     return 0.5 * kinetic + gamma / (p + 1.0) * potential
@@ -180,46 +170,68 @@ def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
 
     `gradient` is `spectral_gradient(u)` when the caller already has it (the
     stepper computes it in a batch with its own transforms); its arrays are
-    used as scratch.  Without it the sample needs one complex scratch field,
-    `scratch` if given (the stepper lends its phase buffer; the contents are
-    overwritten) or a new one: its two halves first hold |u|^2 and Im(u)^2,
-    and once the functionals of |u|^2 are summed it receives the derivative
-    along each axis in turn.  Every sum goes through `_vdot`, so the bits do
-    not depend on how many threads the BLAS library runs.
+    used as scratch.  Without it the sample needs one complex scratch block
+    of shape `grid.block_shape`, `scratch` if given (the stepper lends its
+    phase buffer; the contents are overwritten) or a new one.  A 1D field is
+    one block; a 2D field is taken a block of rows at a time.  The block's
+    two halves first hold |u|^2 and Im(u)^2: mass, potential and sup are
+    summed block by block, and the variance from x^2 against each block's
+    row marginals and a running column marginal, so no |x|^2 table is
+    needed.  Then the block takes each partial derivative over blocks of
+    whole lines along its axis.  Every dot product goes through `_vdot`, so
+    the bits do not depend on how many threads the BLAS library runs.
     """
     g = u.grid
     v = u.values
+    shape = g.block_shape
     if gradient is None:
-        d = np.empty(v.shape, dtype=np.complex128) if scratch is None else scratch
-        amp2, imag2 = d.reshape(-1).view(np.float64).reshape((2,) + v.shape)
+        d = np.empty(shape, dtype=np.complex128) if scratch is None else scratch
+        amp2, imag2 = d.reshape(-1).view(np.float64).reshape((2,) + shape)
     else:
-        amp2, imag2 = np.empty(v.shape), None
-    np.multiply(v.real, v.real, out=amp2)
-    amp2 += np.multiply(v.imag, v.imag, out=imag2)
+        amp2, imag2 = np.empty(shape), None
+    x2 = g.axis_coords_squared()
+    cols = np.zeros(g.n) if g.dim == 2 else None  # running column marginal
+    mass = pot = variance = peak = 0.0
+    for lo, vb in zip(range(0, g.n, shape[0]), line_blocks(v, g.dim - 1, shape[0])):
+        np.multiply(vb.real, vb.real, out=amp2)
+        amp2 += np.multiply(vb.imag, vb.imag, out=imag2)
+        # |u|^(p+1) = |u|^(p-1) |u|^2; numpy squares for p = 5
+        nl = amp2 if p == 3.0 else amp2 ** (0.5 * (p - 1.0))
+        mass += amp2.sum()
+        pot += _vdot(nl, amp2)
+        peak = amp2.max(initial=peak)
+        if cols is None:
+            variance = _vdot(x2, amp2)
+        else:
+            variance += _vdot(x2[lo:lo + len(vb)], amp2.sum(axis=1))
+            cols += amp2.sum(axis=0)
+    if cols is not None:
+        variance += _vdot(x2, cols)
     cv = g.cell_volume
-    # |u|^(p+1) = |u|^(p-1) |u|^2; numpy squares for p = 5
-    nl = amp2 if p == 3.0 else amp2 ** (0.5 * (p - 1.0))
-    mass, pot = g.integrate(amp2), float(_vdot(nl, amp2)) * cv
-    variance = float(_variance(g, amp2)) * cv
-    linf = float(np.sqrt(np.max(amp2)))
-    if gradient is None:  # |u|^2 is spent: d becomes the derivative scratch
-        gradient = (spectral_derivative(u, axis, d) for axis in range(g.dim))
+    meshes = g.meshes()
+    if gradient is None:  # |u|^2 is spent: d takes the derivatives, a block at a time
+        lines = d.size // g.n
+        parts = ((vb, spectral_derivative(g, vb, axis, d.reshape(vb.shape)), meshes[axis])
+                 for axis in range(g.dim) for vb in line_blocks(v, axis, lines))
+    else:
+        parts = ((v, dv, x) for dv, x in zip(gradient, meshes))
     kin = mom = 0.0
-    for dv, x in zip(gradient, g.meshes()):
+    for vb, dv, x in parts:
         kin += _vdot(dv, dv).real
         dv *= x
-        mom += _vdot(v, dv).imag
+        mom += _vdot(vb, dv).imag
     kin = float(kin) * cv
+    pot = float(pot) * cv
     return DiagnosticsSample(
         t=float(u.time),
         layer_gamma=float(gamma_now),
-        mass=mass,
+        mass=float(mass) * cv,
         kinetic=kin,
         potential=pot,
         energy=layer_energy(kin, pot, gamma_now, p),
-        variance=variance,
+        variance=float(variance) * cv,
         momentum=float(mom) * cv,
-        linf=linf,
+        linf=float(np.sqrt(peak)),
     )
 
 

@@ -221,15 +221,21 @@ def construct_experiment(target: str | dict, out_dir: str | Path,
 
 
 def run_experiment(target: str | dict, out_dir: str | Path, overrides: dict | None = None) -> dict:
-    """Run one experiment and write its artifacts under out_dir."""
+    """Run one experiment and write its artifacts under out_dir.
+
+    Returns status, t_detect, out_dir, meta and the trajectory log, or a
+    failed construction's summary.  The field the run ends on is not
+    returned: it is on disk as final.mnls, or last_stable.mnls after a
+    halt, for `read_snapshot`.
+    """
     config = resolve_config(target, overrides)
     run, start = _construction_phase(config, out_dir)
     if start["status"] != "constructed":
         return start
     out = Path(start["out_dir"])
-    log, final = evolve(run.model, run.disp_map.layer_partition(0.0, run.t_end), start["u0"],
-                        run.dt_target, run.sample_every, run.policy)
-    write_snapshot(out / ("final.mnls" if log.completed else "last_stable.mnls"), final)
+    log, last = evolve(run.model, run.disp_map.layer_partition(0.0, run.t_end), start["u0"],
+                       run.dt_target, run.sample_every, run.policy)
+    write_snapshot(out / ("final.mnls" if log.completed else "last_stable.mnls"), last)
     meta = _write_run_artifacts(out, config, run.grid, log.status, log, start["log"])
     return {"status": log.status, "t_detect": log.t_detect, "out_dir": str(out), "meta": meta,
-            "log": log, "final": final}
+            "log": log}

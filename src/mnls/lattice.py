@@ -17,6 +17,10 @@ from .errors import InvalidDimension, InvalidResolution, is_real
 
 __all__ = ["Grid", "ComplexField", "make_grid", "spectral_derivative", "spectral_gradient"]
 
+# Points in one block of a 2D field's blocked passes (the stepper's kick and
+# the diagnostics sums and derivatives): 2^14 complex values are 256 KiB.
+BLOCK_POINTS = 1 << 14
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -47,6 +51,17 @@ class Grid:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.dim
+
+    @property
+    def block_shape(self) -> tuple[int, ...]:
+        """Shape of one block of a field's blocked passes.
+
+        A 1D field is one block.  A 2D block is whole rows, BLOCK_POINTS
+        points of them (64 rows at 256^2), or the field when it is smaller.
+        """
+        if self.dim == 1:
+            return self.shape
+        return (min(self.n, max(1, BLOCK_POINTS // self.n)), self.n)
 
     # The table helpers below are cached per grid and shared by the hot
     # loops; callers must treat the returned arrays as read-only.
@@ -147,22 +162,36 @@ class ComplexField:
         return float(np.max(np.abs(self.values)))
 
 
-def spectral_derivative(f: ComplexField, axis: int, out: np.ndarray) -> np.ndarray:
-    """Write the partial derivative of the field along `axis` into `out`.
+def line_blocks(values: np.ndarray, axis: int, lines: int) -> list[np.ndarray]:
+    """Views of a field's values holding `lines` whole lines along `axis` each.
 
-    The derivative is computed by multiplication with i*k in frequency
-    space, exact for band-limited fields.  The unpaired Nyquist mode has no
-    well-defined odd derivative on a real lattice, so its multiplier is
-    zeroed; smooth, well-resolved fields carry no content there anyway.
-    `out` is a complex array of the field's shape; both transforms run in
-    it, so nothing field-sized is allocated.
+    In 2D the lines along axis 0 are columns and those along axis 1 rows; a
+    1D field is one block.
     """
-    np.fft.fft(f.values, axis=axis, out=out)
-    out *= f.grid.derivative_symbols()[axis]
+    if values.ndim == 1:
+        return [values]
+    return [values[:, lo:lo + lines] if axis == 0 else values[lo:lo + lines]
+            for lo in range(0, len(values), lines)]
+
+
+def spectral_derivative(g: Grid, values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Write the partial derivative along `axis` of values on g into `out`.
+
+    `values` is a field's values or a block of its whole lines along `axis`
+    (in 2D, columns for axis 0 and rows for axis 1); `out` is a complex
+    array of its shape.  The derivative is computed by multiplication with
+    i*k in frequency space, exact for band-limited fields.  The unpaired
+    Nyquist mode has no well-defined odd derivative on a real lattice, so
+    its multiplier is zeroed; smooth, well-resolved fields carry no content
+    there anyway.  Both transforms run in `out`, so nothing of its size is
+    allocated.
+    """
+    np.fft.fft(values, axis=axis, out=out)
+    out *= g.derivative_symbols()[axis]
     return np.fft.ifft(out, axis=axis, out=out)
 
 
 def spectral_gradient(f: ComplexField) -> tuple[np.ndarray, ...]:
     """Partial derivatives of the field along each axis (`spectral_derivative`)."""
-    return tuple(spectral_derivative(f, axis, np.empty_like(f.values))
+    return tuple(spectral_derivative(f.grid, f.values, axis, np.empty_like(f.values))
                  for axis in range(f.grid.dim))

@@ -16,19 +16,23 @@ each layer gets its own uniform step dividing its length.  `evolve` takes
 the layer list it marches, so a forward run and a backward construction
 drive the same loop.
 
-The stepping is in place, fused, buffered and, in 1D, paired.  `evolve`
+The stepping is in place, fused, blocked and, in 1D, paired.  `evolve`
 marches the field it is given: u0's own array is the marching field, and
 u0 comes back advanced, so a caller who still needs the initial data
-passes `u0.copy()`.  Besides it the run owns one field-sized buffer, the
-phase buffer, so a 2D run holds two field-sized arrays.  The phase buffer
-carries |u|^2 and then the kick exponent |u|^(p-1) in its imaginary part,
-and a kick turns that exponent into the factor exp(-i b tau |u|^(p-1))
-in place, which spends it.  The layer symbol exp(-i a dt |k|^2) is the
-product of one factor per axis, exp(-i a dt k^2) over (n, 1) and (1, n)
-in 2D, rebuilt in place at each layer; the sweep multiplies by each in
-turn.  Nothing else field-sized lives for the run: a sample that
-differentiates on its own borrows the phase buffer as its scratch, and a
-kick after it takes the exponent afresh from the field.
+passes `u0.copy()`.  Besides it the run owns one scratch block, the phase
+buffer, of `Grid.block_shape`: the whole field in 1D, 2^14 points of
+whole rows in 2D (64 rows at 256^2), so a 2D run holds one field-sized
+array.  A kick works a block at a time: |u|^2 into the phase block's
+imaginary part (Im(u)^2 going through its real part), its max against
+the amplitude cap, then the exponent |u|^(p-1) in place and the factor
+exp(-i b tau |u|^(p-1)) as cos + i sin, which multiplies the block.  A
+block over the cap stops the kick, and the blocks already kicked are
+turned back.  The layer symbol exp(-i a dt |k|^2) is the product of one
+factor per axis, exp(-i a dt k^2) over (n, 1) and (1, n) in 2D, rebuilt
+in place at each layer; the sweep multiplies by each in turn.  Nothing
+else field-sized lives for the run: a sample that differentiates on its
+own takes the phase block as its scratch, and sums and differentiates
+over blocks of it.
 The sweep runs in place (`fft` in 1D, `fftn` in 2D), and the |u|^2 taken
 after it serves both the amplitude check and the next kick, since a kick
 is a pure phase rotation.  The trailing half-kick of one step and the
@@ -42,7 +46,7 @@ step skips its own sweep.  Each row of numpy's batched transform has the
 bits of a single transform, so pairing changes no output.  The first
 sample, layer ends, halts and 2D (a two-axis sweep, whose rows numpy
 already batches) leave the derivative to `sample_diagnostics`, which
-takes it one axis at a time.
+takes it one axis and one block of lines at a time.
 
 Blowup is a detection outcome, not an exception.  `evolve` keeps the step
 loop and checks the amplitude cap after every step (one step from a
@@ -67,7 +71,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsSample, SampleTable, layer_energy, sample_diagnostics
 from .errors import NonFiniteState, is_real
-from .lattice import ComplexField, Grid
+from .lattice import ComplexField, Grid, line_blocks
 from .mgmt_map import Layer
 
 __all__ = ["ModelSpec", "BlowupPolicy", "TrajectoryLog", "evolve"]
@@ -132,17 +136,23 @@ class TrajectoryLog:
 class _Stepper:
     """The run-lifetime buffers of one evolve call and the substeps on them.
 
-    ``u`` is the marching field (the caller's array), ``phase`` the kick
-    factor, whose imaginary part holds the kick exponent |u|^(p-1) between
-    a `modulus` call and the `kick` that spends it.  In 1D ``pair`` is the
-    two-row buffer of `lead`; 2D allocates none.  ``mult`` is the layer
-    symbol as one factor per axis.  Every substep works in place, so a step
-    allocates nothing of the field's size.
+    ``u`` is the marching field (the caller's array) and ``blocks`` its
+    block views, built once: the whole field in 1D, blocks of whole rows of
+    `Grid.block_shape` in 2D.  ``phase`` is one block of scratch: a kick
+    takes |u|^2, the exponent and the factor exp(-i coeff |u|^(p-1)) in it,
+    a block at a time, and in 1D, where it is field-sized, the last factor
+    stays for `lead`.  In 1D ``pair`` is the two-row buffer of `lead`; 2D
+    allocates none.  ``mult`` is the layer symbol as one factor per axis.
+    Every substep works in place, so a step allocates nothing of the
+    field's size.
     """
 
-    def __init__(self, u: np.ndarray, p: float, lap: tuple[np.ndarray, ...]):
+    def __init__(self, u: np.ndarray, p: float, lap: tuple[np.ndarray, ...],
+                 block_shape: tuple[int, ...]):
         self.u = u
-        self.phase = np.empty_like(u)
+        self.phase = np.empty(block_shape, dtype=np.complex128)
+        self.re, self.im = self.phase.real, self.phase.imag
+        self.blocks = line_blocks(u, u.ndim - 1, block_shape[0])
         self.lap = lap
         self.mult = tuple(np.empty(k2.shape, dtype=np.complex128) for k2 in lap)
         self.e = 0.5 * (p - 1.0)
@@ -153,37 +163,52 @@ class _Stepper:
             self.fft, self.ifft = np.fft.fftn, np.fft.ifftn
             self.pair = None  # a 2D sweep already batches its rows
 
-    def modulus(self) -> float:
-        """Return max |u|^2 and leave the kick exponent |u|^(p-1) in phase.imag.
+    def _modulus(self, ub: np.ndarray) -> float:
+        """Leave |u|^2 of the block ub in phase.imag and return its max; Im(u)^2
+        goes through phase.real."""
+        nl = self.im
+        np.multiply(ub.real, ub.real, out=nl)
+        nl += np.multiply(ub.imag, ub.imag, out=self.re)
+        return float(nl.max())
 
-        The phase factor is dead here (a kick rebuilds it before it is read),
-        so |u|^2 is summed in its imaginary part with Im(u)^2 going through
-        its real part.
+    def kick(self, coeff: float, cap2: float = math.inf) -> float:
+        """Exact flow of i u_t = b |u|^(p-1) u over b*tau = coeff; return max |u|^2.
+
+        A block at a time: |u|^2 and its max, the cap check, then the
+        exponent |u|^(p-1) in place and the factor exp(-i coeff |u|^(p-1))
+        as cos + i sin in the phase block's own real and imaginary parts,
+        which is cheaper than numpy's complex exp and agrees with it to
+        rounding.  The kick leaves |u| alone, so the max is that of the
+        state before it as well as after.  A block whose max is above
+        `cap2` or not finite stops the kick: the blocks already kicked are
+        turned back, which restores the state to rounding, and the return
+        value is the max over the whole field, which fails the same test.
         """
-        u, nl = self.u, self.phase.imag
-        np.multiply(u.real, u.real, out=nl)
-        nl += np.multiply(u.imag, u.imag, out=self.phase.real)
-        m2 = float(nl.max())
+        top = 0.0
+        for i, ub in enumerate(self.blocks):
+            m2 = self._modulus(ub)
+            if not m2 <= cap2:
+                rest = [self._modulus(vb) for vb in self.blocks[i + 1:]]
+                for vb in self.blocks[:i]:
+                    self._modulus(vb)
+                    self._rotate(vb, -coeff)
+                return float(np.max([m2, *rest]))
+            self._rotate(ub, coeff)
+            if m2 > top:
+                top = m2
+        return top
+
+    def _rotate(self, ub: np.ndarray, coeff: float) -> None:
+        """Multiply the block ub by exp(-i coeff |u|^(p-1)), |u|^2 being in phase.imag."""
+        nl = self.im
         if self.e == 2.0:
             np.multiply(nl, nl, out=nl)
         elif self.e != 1.0:
             np.power(nl, self.e, out=nl)
-        return m2
-
-    def kick(self, coeff: float) -> None:
-        """Exact flow of i u_t = b |u|^(p-1) u over b*tau = coeff; leaves |u| alone.
-
-        The factor exp(-i coeff |u|^(p-1)) is built from the exponent that
-        `modulus` left in phase.imag, as cos + i sin in the phase buffer's
-        own real and imaginary parts, which is cheaper than numpy's complex
-        exp and agrees with it to rounding.  This spends the exponent: the
-        next kick needs a `modulus` call first.
-        """
-        arg = self.phase.imag
-        arg *= -coeff
-        np.cos(arg, out=self.phase.real)
-        np.sin(arg, out=arg)
-        self.u *= self.phase
+        nl *= -coeff
+        np.cos(nl, out=self.re)
+        np.sin(nl, out=nl)
+        ub *= self.phase
 
     def symbol(self, coeff: complex) -> None:
         """Make mult the layer symbol exp(coeff |k|^2), one factor per axis."""
@@ -231,7 +256,6 @@ class _Stepper:
         for m in self.mult:
             u /= m
         self.ifft(u, out=u)
-        self.modulus()
         self.kick(-half)
 
 
@@ -240,8 +264,8 @@ class _Recorder:
     layer plan, the first sample, one sample per sample step with its
     mass-drift check against the first, the layer-switch events and the halt.
 
-    A sample without a gradient uses `scratch`, the stepper's phase buffer,
-    as its scratch field; the caller rebuilds the phase after it."""
+    A sample without a gradient uses `scratch`, the stepper's phase block,
+    as its scratch; the next kick takes its exponent afresh."""
 
     def __init__(self, grid: Grid, p: float, policy: BlowupPolicy, u: np.ndarray, t: float,
                  gamma: float, scratch: np.ndarray):
@@ -329,8 +353,9 @@ def evolve(
     the log status is "blowup", t_detect, the last stable time.  A caller
     who needs the initial data afterwards passes `u0.copy()`; evolving an
     advanced field over the same layers again fails the start-time check.
-    Besides the field, a run holds one field-sized buffer (two field-sized
-    arrays in 2D; 1D adds the two-row pair buffer).
+    Besides the field, a run holds one scratch block of `Grid.block_shape`
+    (field-sized in 1D, which adds the two-row pair buffer; 2^14 points in
+    2D, so a 2D run holds one field-sized array).
     """
     if policy is None:
         policy = BlowupPolicy()
@@ -343,15 +368,16 @@ def evolve(
     ik = grid.derivative_symbols()[0]
 
     u0.values = np.ascontiguousarray(u0.values, dtype=np.complex128)  # copies only a strided view
-    st = _Stepper(u0.values, p, grid.laplacian_symbol())
-    cap = policy.cap_for(math.sqrt(st.modulus()))
+    st = _Stepper(u0.values, p, grid.laplacian_symbol(), grid.block_shape)
     rec = _Recorder(grid, p, policy, st.u, t_begin, layers[0].gamma, st.phase)
+    cap = policy.cap_for(rec.log.samples[0].linf)
+    cap2 = cap * cap
 
     # The trailing half-kick of a step and the leading half-kick of the next
     # are one full kick, split only where st.u must be a full-step state: at
-    # samples and layer ends.  A kick spends the exponent st.modulus() left
-    # in st.phase, so a kick that does not follow a modulus call makes one.
-    # In 1D a mid-layer sample's gradient and the next step's sweep share one
+    # samples and layer ends.  The trailing kick checks the cap, block by
+    # block, and a kick is a pure phase, so its max is the candidate's.  In
+    # 1D a mid-layer sample's gradient and the next step's sweep share one
     # batched transform pair, and that step skips its own sweep.  Any other
     # sample uses st.phase as scratch.
     t_prev, swept = t_begin, False
@@ -362,37 +388,32 @@ def evolve(
         rec.enter(layer, dt, steps)
         st.symbol(-1j * a * dt)
         half = b * dt / 2.0
-        st.modulus()
         st.kick(half)
         for s in range(1, steps + 1):
             if not swept:  # else the last sample's batched call did this sweep
                 st.sweep()
             swept = False
             t_new = layer.t_end if s == steps else layer.t_begin + s * dt
-            # the trailing kick is a pure phase: this is the candidate's modulus
-            m2 = st.modulus()
+            sample = s == steps or s % sample_every == 0
+            m2 = st.kick(half if sample else 2.0 * half, cap2)
             if not math.isfinite(m2):
                 raise NonFiniteState(f"non-finite state at t={t_new:.9g} without a policy trigger")
-            if m2 > cap * cap:
+            if m2 > cap2:
                 st.unstep(half)
                 return rec.halt(u0, t_prev, layer.gamma, "amplitude", math.sqrt(m2), t_new, s)
-            if s < steps and s % sample_every:
-                st.kick(2.0 * half)
+            if not sample:
                 t_prev = t_new
                 continue
-            st.kick(half)
             swept = s < steps and st.pair is not None
             gradient = (st.lead(ik),) if swept else None
             if not rec.sample(st.u, t_new, layer.gamma, gradient):
-                st.modulus()
                 st.kick(-half)
                 st.unstep(half)
                 return rec.halt(u0, t_prev, layer.gamma, "mass_drift", rec.drift, t_new, s)
             if swept:
                 st.advance()
             elif s < steps:
-                st.modulus()  # the next leading half-kick: the sample used st.phase
-                st.kick(half)
+                st.kick(half)  # the next leading half-kick
             elif li + 1 < len(layers):
                 rec.switch(t_new, layer.gamma, layers[li + 1].gamma)
             t_prev = t_new

@@ -52,16 +52,28 @@ SNAPSHOT_MAGIC = b"MNLS"
 SNAPSHOT_VERSION = 1
 
 
+def _named(exc: OSError, path: Path) -> OSError:
+    """The same error (errno and subclass) on `path`, not on the temporary
+    file beside it that the atomic write opened or renamed."""
+    return OSError(exc.errno, exc.strerror, str(path))
+
+
 @contextmanager
 def _atomic_file(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
     """Open a temp file next to `path`; rename it onto `path` when the block
     ends normally and unlink it when the block raises."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    except OSError as exc:
+        raise _named(exc, path) from exc
     try:
         with os.fdopen(fd, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _named(exc, path) from exc
     except BaseException:
         try:
             os.unlink(tmp)
@@ -152,7 +164,7 @@ def read_series_csv(path: str | Path) -> dict[str, np.ndarray]:
     if bad.size:
         row, col = bad[0]
         raise UnreadableSeries(f"{path}: data row {row + 1} has the non-finite "
-                               f"{names[col]} {table[row, col]!r}")
+                               f"{names[col]} {float(table[row, col])}")
     return {name: table[:, j] for j, name in enumerate(names)}
 
 

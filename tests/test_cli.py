@@ -228,8 +228,8 @@ def test_plot_non_finite_series_exits_one(tmp_path, capsys, cell, column):
         warnings.simplefilter("error")
         assert main(["plot", str(series), "--out", str(tmp_path / "p.svg")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "data row 2" in err and column in err
-    assert "Traceback" not in err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert err.rstrip().endswith(f"data row 2 has the non-finite {column} {cell}")
     assert not (tmp_path / "p.svg").exists()
 
 
@@ -324,6 +324,39 @@ def test_unwritable_output_paths_exit_one(tmp_path, capsys):
                  "--t-end", "0.01"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "onto-a-dir"])
+def test_unwritable_plot_is_reported_by_its_own_name(tmp_path, capsys, where):
+    """The error names the path asked for, not the temporary file next to it
+    that the atomic write opens and renames: a plot into a missing directory
+    fails to open it, a plot onto a directory fails to rename it."""
+    series = tmp_path / "s.csv"
+    series.write_text("t,linf\n0.0,1.0\n0.5,2.0\n")
+    out = tmp_path / "missing" / "x.svg"
+    if where == "onto-a-dir":
+        out = tmp_path / "x.svg"
+        out.mkdir()
+    assert main(["plot", str(series), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and err.rstrip().endswith(f": '{out}'")
+    left = ["s.csv"] if where == "missing-dir" else ["s.csv", "x.svg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == left  # no temporary file stays
+
+
+def test_plot_refuses_to_overwrite_its_series(tmp_path, capsys, monkeypatch):
+    """--out naming the series itself, directly or by another path to it,
+    exits 1 and leaves the series as it was."""
+    series = tmp_path / "series.csv"
+    text = "t,linf\n0.0,1.0\n0.5,2.0\n"
+    series.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for out in (str(series), "./series.csv", str(tmp_path / "sub" / ".." / "series.csv")):
+        assert main(["plot", "series.csv", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "series file itself" in err
+        assert series.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
 
 def test_list_into_a_closed_pipe_ends_quietly(monkeypatch, capsys):

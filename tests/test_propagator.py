@@ -410,6 +410,30 @@ def _march_to(model, disp, u0, t, dt):
     return evolve(model, disp.layer_partition(0.0, t), u0.copy(), dt, sample_every=10**9)[1]
 
 
+def test_2d_halt_in_a_later_block_turns_the_kicked_blocks_back():
+    """At 256^2 a kick takes four blocks of 64 rows, and the bump's peak
+    sits in the third: the trip at t = 0.07, a step between samples, stops
+    the kick there and turns the first two blocks back.  The run halts
+    where the unblocked kick halted (t_detect 0.068), and the field it
+    returns is the uncapped march's state at t_detect to rounding, with the
+    diagnostics of the log's last sample."""
+    g = make_grid(2, half_width=8.0, n=256)
+    u0 = sech_profile_2d(g, 5.0, 0.86)
+    focusing = DispersionMap(t_star=1e6, t_period=2e6)
+    model, dt, policy = ModelSpec("dm"), 2e-3, BlowupPolicy(amplitude_factor=1.5)
+    assert g.block_shape == (64, 256)
+    log, out = evolve(model, focusing.layer_partition(0.0, 0.2), u0.copy(), dt, sample_every=3,
+                      policy=policy)
+    trip = log.events[-1]
+    assert log.status == "blowup" and trip["reason"] == "amplitude"
+    assert log.t_detect == out.time == 0.068 and trip["t_violation"] == 0.07
+    assert trip["value"] > policy.cap_for(u0.linf())
+    assert np.argmax(np.abs(out.values)) // g.n >= 2 * g.block_shape[0]
+    assert sample_diagnostics(out, -1.0, 3.0) == log.samples[-1]
+    ref = _march_to(model, focusing, u0, log.t_detect, dt)
+    assert np.max(np.abs(out.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+
+
 def test_halt_inside_a_fused_stretch_returns_the_last_stable_state(grid1d):
     """A trip between samples rebuilds the last stable state from the
     violating candidate; it must match the densely sampled run and an
