@@ -178,8 +178,12 @@ def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
     summed block by block, and the variance from x^2 against each block's
     row marginals and a running column marginal, so no |x|^2 table is
     needed.  Then the block takes each partial derivative over blocks of
-    whole lines along its axis.  Every dot product goes through `_vdot`, so
-    the bits do not depend on how many threads the BLAS library runs.
+    whole lines along its axis.  Over a strided block of columns the
+    momentum sum is taken in the derivative's block, conjugated and
+    multiplied by the field's lines in place, so the block is never copied;
+    contiguous lines go to `_vdot`.  Every dot product
+    goes through `_vdot`, so the bits do not depend on how many threads the
+    BLAS library runs.
     """
     g = u.grid
     v = u.values
@@ -219,7 +223,14 @@ def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
     for vb, dv, x in parts:
         kin += _vdot(dv, dv).real
         dv *= x
-        mom += _vdot(vb, dv).imag
+        if vb.flags.c_contiguous:
+            mom += _vdot(vb, dv).imag
+        else:
+            # Im sum conj(v) x dv is -Im sum conj(x dv) v: taken in dv, a
+            # strided block of columns is read in place instead of copied
+            np.conjugate(dv, out=dv)
+            dv *= vb
+            mom -= dv.reshape(-1).imag.sum()
     kin = float(kin) * cv
     pot = float(pot) * cv
     return DiagnosticsSample(
