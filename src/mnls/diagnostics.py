@@ -178,12 +178,12 @@ def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
     summed block by block, and the variance from x^2 against each block's
     row marginals and a running column marginal, so no |x|^2 table is
     needed.  Then the block takes each partial derivative over blocks of
-    whole lines along its axis.  Over a strided block of columns the
-    momentum sum is taken in the derivative's block, conjugated and
-    multiplied by the field's lines in place, so the block is never copied;
-    contiguous lines go to `_vdot`.  Every dot product
-    goes through `_vdot`, so the bits do not depend on how many threads the
-    BLAS library runs.
+    whole lines along its axis.  Dot products over contiguous lines go
+    through `_vdot`.  Over a strided block of columns the momentum sum is
+    taken in the derivative's block, conjugated and multiplied by the
+    field's lines in place, so the block is never copied, and totalled by
+    numpy's sum.  Neither depends on how many threads the BLAS
+    library runs, so neither do the bits.
     """
     g = u.grid
     v = u.values

@@ -16,36 +16,29 @@ each layer gets its own uniform step dividing its length.  `evolve` takes
 the layer list it marches, so a forward run and a backward construction
 drive the same loop.
 
-The stepping is in place, fused, blocked and, in 1D, paired; in 2D it
-runs on two workers.  `evolve` marches the field it is given: u0's own
-array is the marching field, and u0 comes back advanced, so a caller who
-still needs the initial data passes `u0.copy()`.  Every pass goes over
-blocks of whole lines (`lattice.line_blocks`) of `Grid.block_shape`: the
-whole field in 1D, 2^14 points in 2D (64 lines at 256^2).  The layer
+The stepping is in place, fused, blocked and, in 1D, paired.  `evolve`
+marches the field it is given: u0's own array is the marching field, and
+u0 comes back advanced, so a caller who still needs the initial data
+passes `u0.copy()`.  Besides it the run owns one scratch block, the phase
+buffer, of `Grid.block_shape`: the whole field in 1D, 2^14 points in 2D
+(64 lines at 256^2), so a 2D run holds one field-sized array.  Every pass
+goes over blocks of whole lines (`lattice.line_blocks`).  The layer
 symbol exp(-i a dt |k|^2) is the product of one factor per axis,
 exp(-i a dt k^2) over (n, 1) and (1, n) in 2D, rebuilt in place at each
 layer.  The 2D sweep is a column pass, where each block of columns is
-copied transposed into a contiguous scratch block, transformed along its
-rows with the axis-0 factor and copied back, and then a row pass with the
-axis-1 factor; 1D is the row pass alone.  A kick takes |u|^2, checks its
-max against the amplitude cap and multiplies by exp(-i b tau |u|^(p-1)),
-whose parts come from the half-angle tangent t = tan(theta/2) on
-contiguous real scratch: cos theta = 2/(1+t^2) - 1, sin theta =
-t 2/(1+t^2).  numpy's float64 tan is a SIMD loop where cos and sin are
-not, and the factor agrees with cos + i sin to rounding.  In 2D it works
-on half-blocks of rows, with the factor in one half of the scratch block
-and |u|^2, t and 2/(1+t^2) in the other half as floats.  A step's kick
-takes each row block right after that block's row pass.  A unit over the
-cap is left alone, and if there is one, every unit kicked is turned back.
-In 2D, a field of two or more row blocks on a process that may run on
-two CPUs shares the blocks of each pass, the column pass and the row
-pass with its kicks, between the caller and one helper thread that lives
-only inside `evolve`: each takes the next block when it is free.  Two
-lock handoffs feed the helper, and it is joined before `evolve` returns
-or raises.  Each worker owns one scratch block; the caller's is the phase
-buffer.  A block's arithmetic is the same on either worker, and which
-units a halting kick turns back does not depend on who kicked them, so
-one- and two-worker runs are bit-identical.
+copied transposed into the phase block, transformed along its rows with
+the axis-0 factor and copied back, and then a row pass with the axis-1
+factor; 1D is the row pass alone.  A kick takes |u|^2, checks its max
+against the amplitude cap and multiplies by exp(-i b tau |u|^(p-1)).  In
+1D the factor is cos + i sin in the phase buffer's own parts.  In 2D it
+works on half-blocks of rows, and the factor comes from the half-angle
+tangent t = tan(theta/2), cos theta = 2/(1+t^2) - 1 and sin theta =
+t 2/(1+t^2), with the factor in one half of the phase block and |u|^2, t
+and 2/(1+t^2) in the other half as floats: numpy's float64 tan is a SIMD
+loop where cos and sin are not, and the factor agrees with cos + i sin to
+rounding.  A step's kick takes each row block right after that block's
+row pass.  A unit over the cap stops the kick, and the units already
+kicked are turned back.
 Nothing else field-sized lives for the run: a sample that differentiates
 on its own takes the phase buffer as its scratch, and sums and
 differentiates over blocks of it.
@@ -81,8 +74,6 @@ sweep is unitary and the kick keeps |u|.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,93 +142,23 @@ class TrajectoryLog:
         return self.status == "completed"
 
 
-# numpy runs a ufunc call that it cannot flatten into one loop (a broadcast
-# operand, a strided 2D view) through a buffered iterator, which allocates
-# its buffer size in elements per operand, 8,192 by default: 128 KiB of
-# complex values per call, twice over when two workers run.  A step needs no
-# buffering (no casts, aligned data), so `evolve` and its helper thread lower
-# the size; elementwise results do not depend on it.
-_UFUNC_BUFFER = 256
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on; all of them where the OS keeps no affinity."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-class _Helper:
-    """A thread that works on each blocked pass beside the caller.
-
-    Two locks hand a pass over: the caller sets the job and releases `go`,
-    and the helper releases `done` when the job is over.  A job that raises
-    hands its exception to the caller, which raises it once its own part is
-    done.  `close` ends the thread and joins it.
-    """
-
-    def __init__(self):
-        self.go, self.done = threading.Lock(), threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.job = self.result = self.error = None
-        self.thread = threading.Thread(target=self._serve, name="mnls-step", daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        np.setbufsize(_UFUNC_BUFFER)  # a new thread starts on numpy's default
-        while True:
-            self.go.acquire()
-            if self.job is None:
-                return
-            try:
-                self.result, self.error = self.job(), None
-            except BaseException as exc:  # handed to the caller
-                self.result, self.error = None, exc
-            self.done.release()
-
-    def run(self, mine, theirs) -> list:
-        """Run `theirs` on the helper while the caller runs `mine`; return
-        both results, the caller's first."""
-        self.job = theirs
-        self.go.release()
-        try:
-            first = mine()
-        finally:
-            self.done.acquire()
-        if self.error is not None:
-            raise self.error
-        return [first, self.result]
-
-    def close(self) -> None:
-        self.job = None
-        self.go.release()
-        self.thread.join()
-
-
 class _Stepper:
     """The run-lifetime buffers of one evolve call and the substeps on them.
 
     ``u`` is the marching field (the caller's array).  Its passes go over
     views built once: ``rows`` and ``cols``, the blocks of whole rows and
     of whole columns (`lattice.line_blocks` of `Grid.block_shape`), and
-    ``units``, the kick's units, half a row block each (``parts`` lists
-    each row block's).  1D has one row block and one unit, the whole field,
-    and no column pass.  Each worker owns a scratch block of
-    `Grid.block_shape` (``scratch``): the column pass copies a column block
-    into it transposed, and a kick keeps the factor in its first half and
-    |u|^2, the tangent and 2/(1+t^2) in its second half as floats.
-    ``phase`` is the caller's block.  In 1D the factor fills ``phase`` (the
-    last one stays for `lead`) and the tangent floats live in ``pair``, the
-    two-row buffer of `lead`, which is dead during a kick; 2D allocates no
-    pair.  ``mult`` is the layer symbol as one factor per axis.  Every
-    substep works in place, so a step allocates nothing of the field's
-    size.
-
-    A 2D field of two or more row blocks, on a process that may run on two
-    CPUs, gets a helper thread: in each pass the caller and the helper take
-    the next block whenever they are free, so a worker that is held up takes
-    fewer blocks.  Each block's arithmetic is the same on either worker, and
-    a halting kick turns back every unit under the cap whoever kicked it, so
-    the bits do not depend on the worker count.  `close` ends the helper.
+    ``units``, the kick's units (``parts`` lists each row block's).  1D has
+    one row block and one unit, the whole field, and no column pass.
+    ``phase`` is the one scratch block, of `Grid.block_shape`.  In 1D the
+    kick keeps |u|^2 and the exponent in its imaginary part, with Im(u)^2
+    going through its real part, and then the factor cos + i sin in both,
+    so the last factor stays there for `lead`.  In 2D a unit is half a row
+    block: the column pass copies a column block into ``phase`` transposed,
+    and a kick keeps the factor in its first half and |u|^2, the tangent
+    and 2/(1+t^2) in its second half as floats.  ``mult`` is the layer
+    symbol as one factor per axis.  Every substep works in place, so a step
+    allocates nothing of the field's size.
     """
 
     def __init__(self, u: np.ndarray, p: float, lap: tuple[np.ndarray, ...],
@@ -247,136 +168,104 @@ class _Stepper:
         self.mult = tuple(np.empty(k2.shape, dtype=np.complex128) for k2 in lap)
         self.e = 0.5 * (p - 1.0)
         self.phase = np.empty(block_shape, dtype=np.complex128)
+        self.half_angle = u.ndim > 1
         if u.ndim == 1:
             self.pair = np.empty((2,) + u.shape, dtype=np.complex128)
-            tangent = self.pair.reshape(-1).view(np.float64)[:2 * u.size].reshape(2, -1)
-            self.scratch = [(self.phase, self.phase, *tangent)]
+            self.fac, self.nl, self.re = self.phase, self.phase.imag, self.phase.real
             self.rows, self.cols, self.units, self.parts = [u], [], [u], [[0]]
         else:
             self.pair = None  # a 2D sweep batches its own lines
-            lines = block_shape[0]
-            self.rows = line_blocks(u, 1, lines)
-            self.cols = line_blocks(u, 0, lines)
+            flat = self.phase.reshape(-1)
+            half = flat.size // 2
+            self.fac = flat[:half]
+            self.nl, self.re = flat[half:].view(np.float64).reshape(2, half)
+            self.rows = line_blocks(u, 1, block_shape[0])
+            self.cols = line_blocks(u, 0, block_shape[0])
             self.units = [h for rb in self.rows for h in np.split(rb.reshape(-1), 2)]
             self.parts = [[2 * i, 2 * i + 1] for i in range(len(self.rows))]
-            self.scratch = [self._halves(self.phase)]
             self.col_mult = self.mult[0].reshape(-1)
-        self.helper = None
-        if len(self.rows) > 1 and _cpus() > 1:
-            self.scratch.append(self._halves(np.empty(block_shape, dtype=np.complex128)))
-            self.helper = _Helper()
 
-    @staticmethod
-    def _halves(block: np.ndarray) -> tuple[np.ndarray, ...]:
-        """A 2D worker's scratch: the block, the factor in its first half, and
-        |u|^2 (then the tangent) and 2/(1+t^2) in its second half as floats."""
-        flat = block.reshape(-1)
-        half = flat.size // 2
-        return (block, flat[:half], *flat[half:].view(np.float64).reshape(2, half))
-
-    def close(self) -> None:
-        if self.helper is not None:
-            self.helper.close()
-            self.helper = None
-
-    def _each(self, job, blocks, *args) -> list:
-        """Run job(todo, scratch, *args) on each worker, where todo is one
-        iterator over the blocks, shared: a worker takes the next block when
-        it is free.  Return the workers' results, the caller's first."""
-        todo = iter(blocks)  # its next() is atomic under the GIL
-        if self.helper is None:
-            return [job(todo, self.scratch[0], *args)]
-        return self.helper.run(lambda: job(todo, self.scratch[0], *args),
-                               lambda: job(todo, self.scratch[1], *args))
-
-    @staticmethod
-    def _modulus(ub: np.ndarray, w: tuple[np.ndarray, ...]) -> float:
-        """Leave |u|^2 of the unit ub in w's tangent floats and return its max;
-        Im(u)^2 goes through the next floats."""
-        nl, r = w[2], w[3]
+    def _modulus(self, ub: np.ndarray) -> float:
+        """Leave |u|^2 of the unit ub in nl and return its max; Im(u)^2 goes
+        through re."""
+        nl = self.nl
         np.multiply(ub.real, ub.real, out=nl)
-        nl += np.multiply(ub.imag, ub.imag, out=r)
+        nl += np.multiply(ub.imag, ub.imag, out=self.re)
         return float(nl.max())
 
-    def _rotate(self, ub: np.ndarray, coeff: float, w: tuple[np.ndarray, ...]) -> None:
-        """Multiply the unit ub by exp(-i coeff |u|^(p-1)), |u|^2 being in w's
-        tangent floats: with t = tan(theta/2), cos theta = 2/(1+t^2) - 1 and
-        sin theta = t * 2/(1+t^2)."""
-        fac, t, r = w[1], w[2], w[3]
-        if self.e == 2.0:
-            np.multiply(t, t, out=t)
-        elif self.e != 1.0:
-            np.power(t, self.e, out=t)
-        t *= -0.5 * coeff
-        np.tan(t, out=t)
-        np.multiply(t, t, out=r)
-        r += 1.0
-        np.divide(2.0, r, out=r)
-        np.subtract(r, 1.0, out=fac.real)
-        np.multiply(t, r, out=fac.imag)
-        ub *= fac
+    def _rotate(self, ub: np.ndarray, coeff: float) -> None:
+        """Multiply the unit ub by exp(-i coeff |u|^(p-1)), |u|^2 being in nl.
 
-    def _rows(self, todo, w: tuple[np.ndarray, ...], op, coeff: float,
-              cap2: float) -> tuple[float, list]:
-        """For each row block todo yields: its row pass, unless op is None (a
-        transform along the rows, the last axis's factor applied with op, the
-        inverse transform), then the kick over coeff of each of its units
-        whose max is at most cap2.  Return the max over the units kicked and
-        the (index, max) of each unit left alone."""
-        m = self.mult[-1]
-        top, over = 0.0, []
-        for i in todo:
-            if op is not None:
-                rb = self.rows[i]
-                np.fft.fft(rb, axis=-1, out=rb)
-                op(rb, m, out=rb)
-                np.fft.ifft(rb, axis=-1, out=rb)
-            for j in self.parts[i]:
-                m2 = self._modulus(self.units[j], w)
-                if m2 <= cap2:
-                    self._rotate(self.units[j], coeff, w)
-                    if m2 > top:
-                        top = m2
-                else:
-                    over.append((j, m2))
-        return top, over
+        In 1D the factor is cos + i sin of the angle; in 2D it comes from the
+        half-angle tangent t = tan(theta/2): cos theta = 2/(1+t^2) - 1 and
+        sin theta = t * 2/(1+t^2).  numpy's float64 tan is a SIMD loop where
+        cos and sin are not."""
+        nl, r, fac = self.nl, self.re, self.fac
+        if self.e == 2.0:
+            np.multiply(nl, nl, out=nl)
+        elif self.e != 1.0:
+            np.power(nl, self.e, out=nl)
+        if self.half_angle:
+            nl *= -0.5 * coeff
+            np.tan(nl, out=nl)
+            np.multiply(nl, nl, out=r)
+            r += 1.0
+            np.divide(2.0, r, out=r)
+            np.subtract(r, 1.0, out=fac.real)
+            np.multiply(nl, r, out=fac.imag)
+        else:
+            nl *= -coeff
+            np.cos(nl, out=r)
+            np.sin(nl, out=nl)
+        ub *= fac
 
     def kick(self, coeff: float, cap2: float = math.inf, op=None) -> float:
         """Exact flow of i u_t = b |u|^(p-1) u over b*tau = coeff; return max |u|^2.
 
-        A unit at a time: |u|^2 and its max, the cap check, then the exponent
-        |u|^(p-1) and the factor exp(-i coeff |u|^(p-1)) from the half-angle
-        tangent, which is cheaper than cos + i sin and agrees with it to
-        rounding.  The kick leaves |u| alone, so the max is that of the state
-        before it as well as after.  A unit whose max is above `cap2` or not
-        finite is left alone; if there is one, every unit kicked is turned
-        back, which restores the state to rounding, and the return value is
-        the largest max of the units left alone, which is the whole field's
-        and fails the same test.  Which units are turned back does not
-        depend on which worker kicked them.  With `op`, each row block's row
-        pass (see `_rows`) comes right before its kick.
+        A unit at a time: |u|^2 and its max, the cap check, then the
+        exponent |u|^(p-1) and the factor exp(-i coeff |u|^(p-1)) (see
+        `_rotate`), which agrees with numpy's complex exp to rounding.  The
+        kick leaves |u| alone, so the max is that of the state before it as
+        well as after.  A unit whose max is above `cap2` or not finite stops
+        the kick: the units already kicked are turned back, which restores
+        the state to rounding, and the return value is the max over that
+        unit and the ones after it, which is the whole field's and fails the
+        same test.  With `op`, each row block first gets its row pass: a
+        transform along the rows, the last axis's factor applied with op,
+        and the inverse transform.
         """
-        done = self._each(self._rows, range(len(self.rows)), op, coeff, cap2)
-        over = dict(pair for _, pairs in done for pair in pairs)
+        m = self.mult[-1]
+        top, over = 0.0, []
+        for rb, part in zip(self.rows, self.parts):
+            if op is not None:
+                np.fft.fft(rb, axis=-1, out=rb)
+                op(rb, m, out=rb)
+                np.fft.ifft(rb, axis=-1, out=rb)
+            for j in part:
+                ub = self.units[j]
+                m2 = self._modulus(ub)
+                if over or not m2 <= cap2:
+                    over.append(m2)
+                    continue
+                self._rotate(ub, coeff)
+                if m2 > top:
+                    top = m2
         if not over:
-            return max(top for top, _ in done)
-        w = self.scratch[0]
-        for j, ub in enumerate(self.units):
-            if j not in over:
-                self._modulus(ub, w)
-                self._rotate(ub, -coeff, w)
-        return float(np.max(list(over.values())))
+            return top
+        for ub in self.units[:len(self.units) - len(over)]:
+            self._modulus(ub)
+            self._rotate(ub, -coeff)
+        return float(np.max(over))
 
     def step(self, coeff: float, cap2: float = math.inf, op=np.multiply) -> float:
         """The linear flow, a multiplication by the layer's symbol in frequency
         space (op np.divide undoes it), and then `kick(coeff, cap2)`.
 
-        In 2D the sweep is a column pass and then a row pass; each row block
-        is kicked right after its row pass, by the worker that transformed
-        it, while it is still in that worker's cache.
+        In 2D the sweep is the column pass and then the row pass; each row
+        block is kicked right after its row pass, while it is still in cache.
         """
         if self.cols:
-            self._each(self._column_pass, self.cols, op)
+            self._column_pass(op)
         return self.kick(coeff, cap2, op)
 
     def symbol(self, coeff: complex) -> None:
@@ -385,12 +274,12 @@ class _Stepper:
             np.multiply(k2, coeff, out=m)
             np.exp(m, out=m)
 
-    def _column_pass(self, todo, w: tuple[np.ndarray, ...], op) -> None:
-        """Transform the column blocks todo yields along axis 0 with the axis-0
-        factor: each is copied transposed into the worker's scratch block,
-        transformed along its rows there and copied back."""
-        buf, m = w[0], self.col_mult
-        for cb in todo:
+    def _column_pass(self, op) -> None:
+        """Transform each column block along axis 0 with the axis-0 factor: it
+        is copied transposed into the phase block, transformed along its rows
+        there and copied back."""
+        buf, m = self.phase, self.col_mult
+        for cb in self.cols:
             buf[...] = cb.T
             np.fft.fft(buf, axis=-1, out=buf)
             op(buf, m, out=buf)
@@ -493,6 +382,9 @@ class _Recorder:
         return log, u
 
 
+_UFUNC_BUFFER = 256  # elements
+
+
 def _steps_for(length: float, dt_target: float) -> int:
     # tiny slack so a length that is an exact multiple of dt_target does not
     # pick up a spurious extra step from rounding
@@ -522,13 +414,8 @@ def evolve(
     who needs the initial data afterwards passes `u0.copy()`; evolving an
     advanced field over the same layers again fails the start-time check.
     Besides the field, a run holds one scratch block of `Grid.block_shape`
-    per worker (field-sized in 1D, which adds the two-row pair buffer; 2^14
-    points in 2D, so a 2D run holds one field-sized array).  A 2D field of
-    two or more row blocks, on a process that may run on two CPUs, is
-    stepped by the caller and one helper thread, which starts here and is joined
-    before the call returns or raises; an exception in a block the helper
-    took is raised by the caller.  The results do not depend on the worker
-    count, to the bit.
+    (field-sized in 1D, which adds the two-row pair buffer; 2^14 points in
+    2D, so a 2D run holds one field-sized array).
     """
     if policy is None:
         policy = BlowupPolicy()
@@ -542,8 +429,15 @@ def evolve(
 
     u0.values = np.ascontiguousarray(u0.values, dtype=np.complex128)  # copies only a strided view
     st = _Stepper(u0.values, p, grid.laplacian_symbol(), grid.block_shape)
-    bufsize = np.setbufsize(_UFUNC_BUFFER)
-    try:
+    # numpy gives a ufunc call it cannot run as one flat loop (a broadcast
+    # operand: a 2D sweep's symbol factor, a sample's mesh) a fresh buffer of
+    # its buffer size in elements, 128 KiB complex at the default, on every
+    # call.  The run needs no buffering (no casts, aligned data), and a
+    # smaller buffer made a 2D evolve at 256^2 0.91 of its time and 0.27 of
+    # a field of allocations instead of 0.39.  The errstate context restores
+    # numpy's size on the way out.
+    with np.errstate():
+        np.setbufsize(_UFUNC_BUFFER)
         rec = _Recorder(grid, p, policy, st.u, t_begin, layers[0].gamma, st.phase)
         cap = policy.cap_for(rec.log.samples[0].linf)
         cap2 = cap * cap
@@ -595,6 +489,3 @@ def evolve(
                 t_prev = t_new
         u0.time = layers[-1].t_end
         return rec.log, u0
-    finally:
-        st.close()  # the helper thread never outlives the call
-        np.setbufsize(bufsize)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .diagnostics import period_peaks
 from .errors import ConfigError, MnlsError, is_real
 from .harness import build_run, resolve_config
 from .profiles import CLOSED_FORM_KINDS, field_from_record
-from .propagator import _cpus, evolve
+from .propagator import evolve
 from .runio import atomic_write_text
 
 __all__ = ["ManageabilityCriterion", "sweep_manageability", "verdict"]
@@ -117,7 +118,9 @@ def sweep_manageability(
             raise ConfigError(f"sweep axis {key!r} needs a non-empty list of finite numbers, "
                               f"got {vals!r}")
     if max_workers is None:
-        max_workers = _cpus()
+        # the CPUs this process may run on; all of them where the OS keeps no affinity
+        max_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
     elif not (isinstance(max_workers, numbers.Integral) and not isinstance(max_workers, bool)
               and max_workers >= 1):
         raise ConfigError(f"sweep workers must be a positive integer, got {max_workers!r}")

@@ -13,6 +13,7 @@ individual tests passed.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
@@ -20,7 +21,6 @@ import pytest
 
 from mnls.catalog import catalog_ids
 from mnls.harness import resolve_config, run_experiment
-from mnls.propagator import _cpus
 
 _CRITERIA_LABELS = {
     1: "closed-form diagnostics of the T0=1.5 profile",
@@ -70,7 +70,9 @@ _RUNS = {
     **{(name, "rerun"): None
        for name in ("foc-first-layer-T0.5", "dm-global-T1.5", "nm-revival-n2-T5.5")},
 }
-_WORKERS = _cpus()
+# the CPUs this process may run on; all of them where the OS keeps no affinity
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _planned_point_steps(key: tuple) -> float:

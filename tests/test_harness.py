@@ -412,16 +412,17 @@ _FIELD = 16 * 128 * 128
 
 
 def test_2d_evolve_holds_one_field_buffer():
-    """At 256^2, sampling every step, the run allocates 0.53 fields on two
-    workers (0.27 on one), u0 being allocated before: each worker passes
-    and kicks in one scratch block of 64 rows (a quarter field), a sample
-    works in the caller's, and its momentum sum reads strided column blocks
-    in place.  The layer symbol is one factor per axis and the variance is
-    summed from marginals.  On one worker, a sample that copied each
-    strided column block for its dot products made 0.52 fields; at 128^2 a
-    field-sized symbol, |x|^2 table and sample scratch made 5.03 fields, a
-    copy of u0 and a separate |u|^(p-1) array 3.04, and a field-sized phase
-    buffer 1.54 (1.14 at 256^2)."""
+    """At 256^2, sampling every step, the run allocates 0.27 fields, u0
+    being allocated before: the column and row passes, the kick and the
+    samples work in one scratch block of 64 rows (a quarter field), a
+    sample's momentum sum reads strided column blocks in place, and numpy's
+    ufunc buffer is 256 elements.  The layer symbol is one factor per axis
+    and the variance is summed from marginals.  With numpy's default
+    buffer the run made 0.39 fields, and with a sample that copied each
+    strided column block for its dot products 0.52; at 128^2 a field-sized
+    symbol, |x|^2 table and sample scratch made 5.03 fields, a copy of u0
+    and a separate |u|^(p-1) array 3.04, and a field-sized phase buffer
+    1.54 (1.14 at 256^2)."""
     g = make_grid(2, half_width=8.0, n=256)
     u0 = sech_profile_2d(g, 5.0, 0.86)
     layers = DispersionMap(t_star=5e-4, t_period=1e-3).layer_partition(0.0, 2e-3)

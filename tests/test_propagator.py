@@ -1,7 +1,5 @@
 """Split-step integrator: substep oracles, invariants, detection semantics."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -474,124 +472,46 @@ def test_batched_transform_rows_have_single_transform_bits(n):
             assert np.array_equal(out, nd(row))
 
 
-def _workers(monkeypatch, count: int) -> list:
-    """Make evolve run with `count` workers whatever CPUs the host has; the
-    returned list gets the thread of each helper started."""
-    monkeypatch.setattr(mnls.propagator, "_cpus", lambda: count)
-    started = []
-    init = mnls.propagator._Helper.__init__
-
-    def counted(self):
-        init(self)
-        started.append(self.thread)
-
-    monkeypatch.setattr(mnls.propagator._Helper, "__init__", counted)
-    return started
-
-
-def _focusing_2d(roll: int = 0):
-    """The 256^2 bump on the focusing map that trips a cap of 1.5 times its
-    start at t = 0.07, its peak moved by `roll` rows."""
-    g = make_grid(2, half_width=8.0, n=256)
-    u0 = sech_profile_2d(g, 5.0, 0.86)
-    u0.values[...] = np.roll(u0.values, roll, axis=0)
-    layers = DispersionMap(t_star=1e6, t_period=2e6).layer_partition(0.0, 0.2)
-    return u0, (ModelSpec("dm"), layers, u0, 2e-3, 3, BlowupPolicy(amplitude_factor=1.5))
-
-
-def _fast_map_2d():
-    """The 256^2 bump on the catalog's fast map (period 1e-3) through four layers."""
-    g = make_grid(2, half_width=8.0, n=256)
-    u0 = sech_profile_2d(g, 5.0, 0.86)
-    layers = DispersionMap(t_star=5e-4, t_period=1e-3).layer_partition(0.0, 2e-3)
-    return u0, (ModelSpec("dm"), layers, u0, 2.5e-5, 3)
-
-
-@pytest.mark.parametrize("case", ["switches", "halt"])
-def test_one_and_two_workers_give_the_same_bits(monkeypatch, case):
-    """At 256^2 the caller and a helper thread share each 2D sweep pass's
-    blocks, and each block's arithmetic is the same on either: a run on one
-    worker and a run on two match bit for bit, through layer switches and
-    through an amplitude halt."""
-    u0, args = _fast_map_2d() if case == "switches" else _focusing_2d()
-    runs = []
-    for count in (1, 2):
-        started = _workers(monkeypatch, count)
-        runs.append(evolve(*args[:2], u0.copy(), *args[3:]))
-        assert len(started) == count - 1
-    (one, f1), (two, f2) = runs
-    assert one.status == two.status == ("completed" if case == "switches" else "blowup")
-    assert len(one.samples) > 3 and one.samples == two.samples
-    assert one.events == two.events and one.t_detect == two.t_detect
-    assert one.layer_steps == two.layer_steps
-    assert f1.time == f2.time and f1.values.tobytes() == f2.values.tobytes()
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite run
-@pytest.mark.parametrize("case", ["completed", "first-block halt", "third-block halt",
-                                  "mass drift", "non-finite", "helper raises"])
-def test_no_thread_outlives_evolve(monkeypatch, case):
-    """The helper thread starts inside evolve and is joined before it
-    returns or raises: after a completed run, a cap trip in the first row
-    block or in the third, a mass-drift halt, a non-finite state, and an
-    exception in a block the helper took, which the caller raises."""
-    started = _workers(monkeypatch, 2)
-    before = threading.active_count()
-    if case == "completed":
-        u0, args = _fast_map_2d()
-        assert evolve(*args)[0].completed
-    elif case.endswith("block halt"):
-        u0, args = _focusing_2d(-100 if case.startswith("first") else 0)
-        log, out = evolve(*args)
-        assert log.events[-1]["reason"] == "amplitude"
-        row = np.argmax(np.abs(out.values)) // u0.grid.n
-        half = u0.grid.block_shape[0] // 2
-        assert row < half if case.startswith("first") else row >= 4 * half
-    elif case == "mass drift":
-        u0, args = _fast_map_2d()
-        log, _ = evolve(*args[:4], 1, BlowupPolicy(mass_drift_tol=1e-17))
-        assert log.events[-1]["reason"] == "mass_drift"
-    elif case == "non-finite":
-        u0, args = _fast_map_2d()
-        u0.values[0, 0] = np.inf
-        with pytest.raises(NonFiniteState):
-            evolve(*args)
-    else:
-        column_pass = mnls.propagator._Stepper._column_pass
-        raised = []
-
-        def failing(self, todo, w, op):
-            if threading.current_thread() is not threading.main_thread():
-                raised.append(threading.current_thread())
-                raise RuntimeError("in the helper's blocks")
-            column_pass(self, todo, w, op)
-
-        monkeypatch.setattr(mnls.propagator._Stepper, "_column_pass", failing)
-        u0, args = _fast_map_2d()
-        with pytest.raises(RuntimeError, match="helper's blocks"):
-            evolve(*args)
-        assert raised == started
-    assert len(started) == 1 and not started[0].is_alive()
-    assert threading.active_count() == before
-
-
 def test_tangent_factor_matches_cos_and_sin():
-    """The kick takes exp(i theta) from t = tan(theta/2): cos theta =
+    """The 2D kick takes exp(i theta) from t = tan(theta/2): cos theta =
     2/(1+t^2) - 1 and sin theta = t 2/(1+t^2).  On theta in [-60, 60], odd
     multiples of pi and tiny angles, each part is within 4 ulp of 1 of
     cos theta and sin theta, and the sine within 4 of its own ulp."""
-    g = make_grid(1, half_width=8.0, n=1 << 16)
-    theta = np.linspace(-60.0, 60.0, g.n)
+    g = make_grid(2, half_width=8.0, n=256)
+    u = np.ones((g.n, g.n), dtype=np.complex128)
+    st = mnls.propagator._Stepper(u, 3.0, g.laplacian_symbol(), g.block_shape)
+    unit = st.units[0]
+    theta = np.linspace(-60.0, 60.0, unit.size)
     odd = (2 * np.arange(-10, 10) + 1) * np.pi
     tiny = [5e-324, -1e-300, 1e-20, -1e-12, 1e-8, 0.0]
     theta[:len(odd) + len(tiny)] = [*odd, *tiny]
-    u = np.ones(g.n, dtype=np.complex128)
-    st = mnls.propagator._Stepper(u, 3.0, g.laplacian_symbol(), g.block_shape)
-    w = st.scratch[0]
-    w[2][:] = theta  # |u|^2, which is |u|^(p-1) at p = 3
-    st._rotate(u, -1.0, w)  # u becomes exp(-i coeff |u|^2) = exp(i theta)
+    st.nl[:] = theta  # |u|^2, which is |u|^(p-1) at p = 3
+    st._rotate(unit, -1.0)  # the unit becomes exp(-i coeff |u|^2) = exp(i theta)
     eps = np.finfo(np.float64).eps
-    assert np.max(np.abs(u.real - np.cos(theta))) <= 4 * eps
+    assert np.max(np.abs(unit.real - np.cos(theta))) <= 4 * eps
     sin = np.sin(theta)
-    assert np.max(np.abs(u.imag - sin)) <= 4 * eps
-    assert np.all(np.abs(u.imag - sin) <= 4 * np.spacing(np.abs(sin)))
+    assert np.max(np.abs(unit.imag - sin)) <= 4 * eps
+    assert np.all(np.abs(unit.imag - sin) <= 4 * np.spacing(np.abs(sin)))
+    assert np.all(u[len(st.rows[0]) // 2:] == 1.0)  # the other units are untouched
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite run
+@pytest.mark.parametrize("poison", [False, True])
+def test_evolve_restores_numpy_buffer_size(poison):
+    """evolve runs with a small ufunc buffer and gives the caller's back,
+    on a return and on a raise."""
+    g = make_grid(2, half_width=8.0, n=128)
+    u0 = sech_profile_2d(g, 5.0, 0.86)
+    if poison:
+        u0.values[0, 0] = np.inf
+    layers = DispersionMap(t_star=5e-4, t_period=1e-3).layer_partition(0.0, 1e-3)
+    old = np.setbufsize(4096)
+    try:
+        if poison:
+            with pytest.raises(NonFiniteState):
+                evolve(ModelSpec("dm"), layers, u0, 2.5e-4)
+        else:
+            assert evolve(ModelSpec("dm"), layers, u0, 2.5e-4)[0].completed
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
