@@ -9,7 +9,7 @@ map's layers on (0, nP] in mirror order, each layer (a, b] becoming
 the sought initial datum.  Concretely, for the nonlinearity-managed flow
 
     seed(x) = h(0, x) with blowup time T* - nP
-    i w_t + Lap(w) = gamma(nP - t) |w|^(p-1) w   on (0, nP]
+    i w_t + Lap(w) = gamma(nP - t) |w|^4 w   on (0, nP]
     u0 = conj(w(nP))
 
 and forward evolution then satisfies u(t) = conj(w(nP - t)), so the run
@@ -53,7 +53,7 @@ def backward_blowup_data(
 
     Args:
         model: the model the data is meant for; the auxiliary run evolves
-            the same kind and power.
+            the same kind.
         disp_map: the run's map; its gamma_minus must be 1.
         layer_index: n >= 1, the focusing layer that starts at n * period.
         blowup_time: T*, must exceed n * period; a T* past the focusing

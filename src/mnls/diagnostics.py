@@ -9,7 +9,8 @@ For a state u and the active layer value gamma the tracked quantities are
     variance  integral |x|^2 |u|^2            (I)
     momentum  Im integral (x . grad u) conj(u) (P)
 
-with x measured from the domain center.  Within a layer the exact flow
+with x measured from the domain center and p = 1 + 4/d the mass-critical
+power in d dimensions (`critical_power`).  Within a layer the exact flow
 obeys dI/dt = 4*gamma*P and dP/dt = 4*gamma*E when the Laplacian carries
 gamma, and dI/dt = 4*P, dP/dt = 4*E when the nonlinearity does; P is then
 piecewise linear and I piecewise quadratic in t, so a three-point
@@ -34,8 +35,8 @@ import numpy as np
 from .errors import InsufficientSamples
 from .lattice import ComplexField, line_blocks, spectral_derivative
 
-__all__ = ["DiagnosticsSample", "LayerResiduals", "SampleTable", "layer_energy", "period_peaks",
-           "sample_diagnostics", "virial_residuals"]
+__all__ = ["DiagnosticsSample", "LayerResiduals", "SampleTable", "critical_power", "layer_energy",
+           "period_peaks", "sample_diagnostics", "virial_residuals"]
 
 # fixed column order shared with the series.csv writer
 SERIES_COLUMNS = (
@@ -158,49 +159,51 @@ def _vdot(a: np.ndarray, b: np.ndarray):
     return total
 
 
-def layer_energy(kinetic: float, potential: float, gamma: float, p: float) -> float:
+def critical_power(dim: int) -> float:
+    """The mass-critical power p of the nonlinearity |u|^(p-1) u in dim dimensions."""
+    return 1.0 + 4.0 / dim
+
+
+def layer_energy(kinetic: float, potential: float, gamma: float, dim: int) -> float:
     """The energy kinetic/2 + gamma/(p+1) * potential of a layer of value gamma."""
-    return 0.5 * kinetic + gamma / (p + 1.0) * potential
+    return 0.5 * kinetic + gamma / (critical_power(dim) + 1.0) * potential
 
 
-def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
+def sample_diagnostics(u: ComplexField, gamma_now: float,
                        gradient: tuple[np.ndarray, ...] | None = None, *,
                        scratch: np.ndarray | None = None) -> DiagnosticsSample:
     """Evaluate all tracked functionals of u for the layer value gamma_now.
 
     `gradient` is `spectral_gradient(u)` when the caller already has it (the
     stepper computes it in a batch with its own transforms); its arrays are
-    used as scratch.  Without it the sample needs one complex scratch block
-    of shape `grid.block_shape`, `scratch` if given (the stepper lends its
-    phase buffer; the contents are overwritten) or a new one.  A 1D field is
-    one block; a 2D field is taken a block of rows at a time.  The block's
-    two halves first hold |u|^2 and Im(u)^2: mass, potential and sup are
-    summed block by block, and the variance from x^2 against each block's
-    row marginals and a running column marginal, so no |x|^2 table is
-    needed.  Then the block takes each partial derivative over blocks of
-    whole lines along its axis.  Dot products over contiguous lines go
-    through `_vdot`.  Over a strided block of columns the momentum sum is
-    taken in the derivative's block, conjugated and multiplied by the
-    field's lines in place, so the block is never copied, and totalled by
-    numpy's sum.  Neither depends on how many threads the BLAS
-    library runs, so neither do the bits.
+    used as scratch.  The sample needs one complex scratch block of shape
+    `grid.block_shape`, `scratch` if given (the stepper lends its phase
+    buffer; the contents are overwritten) or a new one.  A 1D field is one
+    block; a 2D field is taken a block of rows at a time.  The block's two
+    halves first hold |u|^2 and Im(u)^2, and in 1D then |u|^2 and |u|^4:
+    mass, potential and sup are summed block by block, and the variance
+    from x^2 against each block's row marginals and a running column
+    marginal, so no |x|^2 table is needed.  Without a gradient the block
+    then takes each partial derivative over blocks of whole lines along its
+    axis.  Dot products over contiguous lines go through `_vdot`.  Over a
+    strided block of columns the momentum sum is taken in the derivative's
+    block, conjugated and multiplied by the field's lines in place, so the
+    block is never copied, and totalled by numpy's sum.  Neither depends on
+    how many threads the BLAS library runs, so neither do the bits.
     """
     g = u.grid
     v = u.values
     shape = g.block_shape
-    if gradient is None:
-        d = np.empty(shape, dtype=np.complex128) if scratch is None else scratch
-        amp2, imag2 = d.reshape(-1).view(np.float64).reshape((2,) + shape)
-    else:
-        amp2, imag2 = np.empty(shape), None
+    d = np.empty(shape, dtype=np.complex128) if scratch is None else scratch
+    amp2, imag2 = d.reshape(-1).view(np.float64).reshape((2,) + shape)
     x2 = g.axis_coords_squared()
     cols = np.zeros(g.n) if g.dim == 2 else None  # running column marginal
     mass = pot = variance = peak = 0.0
     for lo, vb in zip(range(0, g.n, shape[0]), line_blocks(v, g.dim - 1, shape[0])):
         np.multiply(vb.real, vb.real, out=amp2)
         amp2 += np.multiply(vb.imag, vb.imag, out=imag2)
-        # |u|^(p+1) = |u|^(p-1) |u|^2; numpy squares for p = 5
-        nl = amp2 if p == 3.0 else amp2 ** (0.5 * (p - 1.0))
+        # |u|^(p+1) = |u|^(p-1) |u|^2: |u|^4 |u|^2 in 1D, |u|^2 |u|^2 in 2D
+        nl = np.multiply(amp2, amp2, out=imag2) if g.dim == 1 else amp2
         mass += amp2.sum()
         pot += _vdot(nl, amp2)
         peak = amp2.max(initial=peak)
@@ -239,7 +242,7 @@ def sample_diagnostics(u: ComplexField, gamma_now: float, p: float,
         mass=float(mass) * cv,
         kinetic=kin,
         potential=pot,
-        energy=layer_energy(kin, pot, gamma_now, p),
+        energy=layer_energy(kin, pot, gamma_now, g.dim),
         variance=float(variance) * cv,
         momentum=float(mom) * cv,
         linf=float(np.sqrt(peak)),

@@ -80,7 +80,6 @@ def pseudo_conformal_field(
     blowup_time: float,
     omega: float = 1.0,
     t: float = 0.0,
-    x_shift: float = 0.0,
     phase: float = 0.0,
     conjugate: bool = False,
 ) -> ComplexField:
@@ -90,7 +89,6 @@ def pseudo_conformal_field(
         blowup_time: T, the concentration time; must satisfy t < T.
         omega: scaling of the underlying ground state.
         t: evaluation time (also stamped on the field).
-        x_shift: spatial translation applied to the profile.
         phase: constant phase rotation exp(i*phase).
         conjugate: return the complex conjugate profile instead (the
             blowup orbit of the nonlinearity-managed focusing layer).
@@ -99,7 +97,7 @@ def pseudo_conformal_field(
     """
     if grid.dim != 1:
         raise WrongDimension("pseudo_conformal_field needs a 1D grid")
-    _real(blowup_time=blowup_time, omega=omega, t=t, x_shift=x_shift, phase=phase)
+    _real(blowup_time=blowup_time, omega=omega, t=t, phase=phase)
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     if not isinstance(conjugate, bool):
@@ -107,7 +105,7 @@ def pseudo_conformal_field(
     tau = blowup_time - t
     if not (tau > 0.0):
         raise TimePastBlowup(f"t={t} is not before blowup_time={blowup_time}")
-    x = grid.axis_coords() - x_shift
+    x = grid.axis_coords()
     amp = np.sqrt(omega / tau) * ground_state_curve(omega * x / tau)
     theta = x * x / (4.0 * tau) - omega * omega / tau + phase
     vals = amp * np.exp(1j * theta)

@@ -2,10 +2,11 @@
 
 Each layer of the management map is a constant-coefficient equation
 
-    i u_t + a Lap(u) = b |u|^(p-1) u
+    i u_t + a Lap(u) = b |u|^(4/d) u
 
-with (a, b) = (gamma, 1) when the Laplacian is managed ("dm") and
-(1, gamma) when the nonlinearity is ("nm").  A step is a half nonlinear
+in d = 1 or 2 dimensions (the mass-critical power), with (a, b) =
+(gamma, 1) when the Laplacian is managed ("dm") and (1, gamma) when the
+nonlinearity is ("nm").  A step is a half nonlinear
 kick, a full linear sweep exp(-i a |k|^2 dt) in frequency space and a
 second half kick, second-order accurate in dt (Weideman & Herbst, SIAM J.
 Numer. Anal. 23, 1986).  Both substeps are exact: the nonlinear phase
@@ -29,19 +30,20 @@ layer.  The 2D sweep is a column pass, where each block of columns is
 copied transposed into the phase block, transformed along its rows with
 the axis-0 factor and copied back, and then a row pass with the axis-1
 factor; 1D is the row pass alone.  A kick takes |u|^2, checks its max
-against the amplitude cap and multiplies by exp(-i b tau |u|^(p-1)).  In
-1D the factor is cos + i sin in the phase buffer's own parts.  In 2D it
-works on half-blocks of rows, and the factor comes from the half-angle
-tangent t = tan(theta/2), cos theta = 2/(1+t^2) - 1 and sin theta =
-t 2/(1+t^2), with the factor in one half of the phase block and |u|^2, t
-and 2/(1+t^2) in the other half as floats: numpy's float64 tan is a SIMD
-loop where cos and sin are not, and the factor agrees with cos + i sin to
-rounding.  A step's kick takes each row block right after that block's
-row pass.  A unit over the cap stops the kick, and the units already
-kicked are turned back.
-Nothing else field-sized lives for the run: a sample that differentiates
-on its own takes the phase buffer as its scratch, and sums and
-differentiates over blocks of it.
+against the amplitude cap and multiplies by exp(-i b tau |u|^(4/d)), the
+exponent being (|u|^2)^2 in 1D and |u|^2 in 2D.  In 1D the factor is
+cos + i sin in the phase buffer's own parts.  In 2D it works on
+half-blocks of rows, and the factor comes from the half-angle tangent
+t = tan(theta/2), cos theta = 2/(1+t^2) - 1 and sin theta = t 2/(1+t^2),
+with the factor in one half of the phase block and |u|^2, t and 2/(1+t^2)
+in the other half as floats: numpy's float64 tan is a SIMD loop where cos
+and sin are not, and the factor agrees with cos + i sin to rounding.  A
+step's kick takes each row block right after that block's row pass.  A
+unit over the cap stops the kick, and the units already kicked are turned
+back.
+Nothing else field-sized lives for the run: a sample takes the phase
+buffer as its scratch for |u|^2, and one that differentiates on its own
+differentiates over blocks of it too.
 The sweep runs in place, and the |u|^2 taken after it serves both the
 amplitude check and the next kick, since a kick is a pure phase
 rotation.  The trailing half-kick of one step and the
@@ -88,20 +90,13 @@ __all__ = ["ModelSpec", "BlowupPolicy", "TrajectoryLog", "evolve"]
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which coefficient the map multiplies, and the nonlinearity power."""
+    """Which coefficient the map multiplies; the power is always mass-critical."""
 
     kind: str  # "dm" (Laplacian managed) or "nm" (nonlinearity managed)
-    p: float | None = None  # default: mass-critical 1 + 4/dim
 
     def __post_init__(self):
         if self.kind not in ("dm", "nm"):
             raise ValueError(f"model kind must be 'dm' or 'nm', got {self.kind!r}")
-        if self.p is not None and not (is_real(self.p) and math.isfinite(self.p) and self.p > 1.0):
-            raise ValueError(f"nonlinearity power p must be a finite real number above 1, "
-                             f"got {self.p!r}")
-
-    def resolve_p(self, dim: int) -> float:
-        return self.p if self.p is not None else 1.0 + 4.0 / dim
 
     def layer_coefficients(self, gamma: float) -> tuple[float, float]:
         if self.kind == "dm":
@@ -151,8 +146,8 @@ class _Stepper:
     ``units``, the kick's units (``parts`` lists each row block's).  1D has
     one row block and one unit, the whole field, and no column pass.
     ``phase`` is the one scratch block, of `Grid.block_shape`.  In 1D the
-    kick keeps |u|^2 and the exponent in its imaginary part, with Im(u)^2
-    going through its real part, and then the factor cos + i sin in both,
+    kick keeps |u|^2 and the exponent |u|^4 in its imaginary part, with
+    Im(u)^2 going through its real part, and then the factor cos + i sin in both,
     so the last factor stays there for `lead`.  In 2D a unit is half a row
     block: the column pass copies a column block into ``phase`` transposed,
     and a kick keeps the factor in its first half and |u|^2, the tangent
@@ -161,12 +156,11 @@ class _Stepper:
     allocates nothing of the field's size.
     """
 
-    def __init__(self, u: np.ndarray, p: float, lap: tuple[np.ndarray, ...],
+    def __init__(self, u: np.ndarray, lap: tuple[np.ndarray, ...],
                  block_shape: tuple[int, ...]):
         self.u = u
         self.lap = lap
         self.mult = tuple(np.empty(k2.shape, dtype=np.complex128) for k2 in lap)
-        self.e = 0.5 * (p - 1.0)
         self.phase = np.empty(block_shape, dtype=np.complex128)
         self.half_angle = u.ndim > 1
         if u.ndim == 1:
@@ -194,17 +188,14 @@ class _Stepper:
         return float(nl.max())
 
     def _rotate(self, ub: np.ndarray, coeff: float) -> None:
-        """Multiply the unit ub by exp(-i coeff |u|^(p-1)), |u|^2 being in nl.
+        """Multiply the unit ub by exp(-i coeff |u|^(4/d)), |u|^2 being in nl.
 
-        In 1D the factor is cos + i sin of the angle; in 2D it comes from the
+        In 1D the exponent is (|u|^2)^2 and the factor cos + i sin of the
+        angle; in 2D the exponent is |u|^2 and the factor comes from the
         half-angle tangent t = tan(theta/2): cos theta = 2/(1+t^2) - 1 and
         sin theta = t * 2/(1+t^2).  numpy's float64 tan is a SIMD loop where
         cos and sin are not."""
         nl, r, fac = self.nl, self.re, self.fac
-        if self.e == 2.0:
-            np.multiply(nl, nl, out=nl)
-        elif self.e != 1.0:
-            np.power(nl, self.e, out=nl)
         if self.half_angle:
             nl *= -0.5 * coeff
             np.tan(nl, out=nl)
@@ -214,16 +205,17 @@ class _Stepper:
             np.subtract(r, 1.0, out=fac.real)
             np.multiply(nl, r, out=fac.imag)
         else:
+            np.multiply(nl, nl, out=nl)
             nl *= -coeff
             np.cos(nl, out=r)
             np.sin(nl, out=nl)
         ub *= fac
 
     def kick(self, coeff: float, cap2: float = math.inf, op=None) -> float:
-        """Exact flow of i u_t = b |u|^(p-1) u over b*tau = coeff; return max |u|^2.
+        """Exact flow of i u_t = b |u|^(4/d) u over b*tau = coeff; return max |u|^2.
 
         A unit at a time: |u|^2 and its max, the cap check, then the
-        exponent |u|^(p-1) and the factor exp(-i coeff |u|^(p-1)) (see
+        exponent |u|^(4/d) and the factor exp(-i coeff |u|^(4/d)) (see
         `_rotate`), which agrees with numpy's complex exp to rounding.  The
         kick leaves |u| alone, so the max is that of the state before it as
         well as after.  A unit whose max is above `cap2` or not finite stops
@@ -321,12 +313,13 @@ class _Recorder:
     layer plan, the first sample, one sample per sample step with its
     mass-drift check against the first, the layer-switch events and the halt.
 
-    A sample without a gradient uses `scratch`, the stepper's phase block,
-    as its scratch; the next kick takes its exponent afresh."""
+    Every sample takes |u|^2 in `scratch`, the stepper's phase block, and
+    one without a gradient differentiates there too; the next kick takes
+    its exponent afresh."""
 
-    def __init__(self, grid: Grid, p: float, policy: BlowupPolicy, u: np.ndarray, t: float,
+    def __init__(self, grid: Grid, policy: BlowupPolicy, u: np.ndarray, t: float,
                  gamma: float, scratch: np.ndarray):
-        self.grid, self.p, self.tol = grid, p, policy.mass_drift_tol
+        self.grid, self.tol = grid, policy.mass_drift_tol
         self.scratch = scratch
         first = self._diagnose(u, t, gamma)
         if not first.mass > 0.0:
@@ -337,7 +330,7 @@ class _Recorder:
 
     def _diagnose(self, u: np.ndarray, t: float, gamma: float,
                   gradient: tuple[np.ndarray, ...] | None = None) -> DiagnosticsSample:
-        return sample_diagnostics(ComplexField(self.grid, u, t), gamma, self.p, gradient,
+        return sample_diagnostics(ComplexField(self.grid, u, t), gamma, gradient,
                                   scratch=self.scratch)
 
     def enter(self, layer: Layer, dt: float, steps: int) -> None:
@@ -362,7 +355,7 @@ class _Recorder:
         self.log.events.append({
             "type": "layer_switch", "t": t, "gamma_before": gamma_before,
             "gamma_after": gamma_after, "energy_before": smp.energy,
-            "energy_after": layer_energy(smp.kinetic, smp.potential, gamma_after, self.p),
+            "energy_after": layer_energy(smp.kinetic, smp.potential, gamma_after, self.grid.dim),
             "potential": smp.potential, "mass": smp.mass,
         })
 
@@ -424,11 +417,10 @@ def evolve(
     grid, t_begin = u0.grid, u0.time
     if layers[0].t_begin != t_begin:
         raise ValueError(f"layers start at t={layers[0].t_begin}, u0 at t={t_begin}")
-    p = model.resolve_p(grid.dim)
     ik = grid.derivative_symbols()[0]
 
     u0.values = np.ascontiguousarray(u0.values, dtype=np.complex128)  # copies only a strided view
-    st = _Stepper(u0.values, p, grid.laplacian_symbol(), grid.block_shape)
+    st = _Stepper(u0.values, grid.laplacian_symbol(), grid.block_shape)
     # numpy gives a ufunc call it cannot run as one flat loop (a broadcast
     # operand: a 2D sweep's symbol factor, a sample's mesh) a fresh buffer of
     # its buffer size in elements, 128 KiB complex at the default, on every
@@ -438,7 +430,7 @@ def evolve(
     # numpy's size on the way out.
     with np.errstate():
         np.setbufsize(_UFUNC_BUFFER)
-        rec = _Recorder(grid, p, policy, st.u, t_begin, layers[0].gamma, st.phase)
+        rec = _Recorder(grid, policy, st.u, t_begin, layers[0].gamma, st.phase)
         cap = policy.cap_for(rec.log.samples[0].linf)
         cap2 = cap * cap
 
@@ -447,7 +439,7 @@ def evolve(
         # samples and layer ends.  The trailing kick checks the cap, block by
         # block, and a kick is a pure phase, so its max is the candidate's.  In
         # 1D a mid-layer sample's gradient and the next step's sweep share one
-        # batched transform pair, and that step skips its own sweep.  Any other
+        # batched transform pair, and that step skips its own sweep.  Every
         # sample uses st.phase as scratch.
         t_prev, swept = t_begin, False
         for li, layer in enumerate(layers):

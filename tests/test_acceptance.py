@@ -44,7 +44,7 @@ def _events(summary) -> list[dict]:
 def test_criterion_01_reference_profile_quartet(criteria_board):
     grid = make_grid(1, half_width=12 * np.pi, n=1024)
     u = pseudo_conformal_field(grid, blowup_time=1.5, t=0.0)
-    s = sample_diagnostics(u, gamma_now=-1.0, p=5.0)
+    s = sample_diagnostics(u, gamma_now=-1.0)
     devs = {
         "mass": abs(s.mass - CRITICAL_MASS) / CRITICAL_MASS,
         "I": abs(s.variance - FROZEN_I) / FROZEN_I,

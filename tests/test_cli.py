@@ -109,7 +109,8 @@ def test_run_missing_json_exits_one(tmp_path, capsys):
                                           ("model", "p")])
 def test_run_non_finite_map_or_power_exits_one(tmp_path, capsys, section, key):
     """JSON Infinity passes every range check: an infinite period runs one
-    layer, gamma_minus or p ends in a numerical fault.  All are config errors."""
+    layer, gamma_minus ends in a numerical fault.  All are config errors, and
+    so is a model power `p`, which a model record no longer has."""
     config = _tiny_config()
     config[section] = config[section] | {key: float("inf")}
     cfg = tmp_path / "inf.json"

@@ -43,7 +43,7 @@ def test_constructed_data_has_critical_mass(nm_construction):
 
 def test_seed_momentum_frozen_value(grid1d):
     seed = pseudo_conformal_field(grid1d, blowup_time=0.5)
-    s = sample_diagnostics(seed, gamma_now=-1.0, p=5.0)
+    s = sample_diagnostics(seed, gamma_now=-1.0)
     assert abs(s.momentum - SEED_MOMENTUM) < 1e-6 * (1.0 + SEED_MOMENTUM)
     assert abs(SEED_MOMENTUM - 0.25 * np.sqrt(3.0) * np.pi**3 / 32.0) < 1e-9
 

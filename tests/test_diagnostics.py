@@ -44,7 +44,7 @@ def grid1d():
 
 def test_frozen_quartet_of_the_reference_profile(grid1d):
     u = pseudo_conformal_field(grid1d, blowup_time=1.5, t=0.0)
-    s = sample_diagnostics(u, gamma_now=-1.0, p=5.0)
+    s = sample_diagnostics(u, gamma_now=-1.0)
     assert abs(s.mass - FROZEN_MASS) < 1e-12
     assert abs(s.variance - FROZEN_I) < 1e-11
     assert abs(s.momentum - FROZEN_P) < 1e-11
@@ -62,7 +62,7 @@ def test_frozen_values_match_closed_forms():
 def test_ground_state_energy_vanishes(grid1d):
     """E(Q) = 0 in the focusing layer: kinetic/2 exactly cancels pot/6."""
     q = ground_state_1d(grid1d)
-    s = sample_diagnostics(q, gamma_now=-1.0, p=5.0)
+    s = sample_diagnostics(q, gamma_now=-1.0)
     assert abs(s.energy) < 1e-12
     assert s.kinetic > 0.0
     assert s.potential > 0.0
@@ -72,7 +72,7 @@ def test_momentum_variance_relation_across_tau(grid1d):
     """The concentrating profile carries P = I / (2 tau) at every tau."""
     for blowup_time, t in [(1.5, 0.0), (2.5, 0.0), (2.5, 1.0), (1.0, 0.5)]:
         u = pseudo_conformal_field(grid1d, blowup_time=blowup_time, t=t)
-        s = sample_diagnostics(u, gamma_now=-1.0, p=5.0)
+        s = sample_diagnostics(u, gamma_now=-1.0)
         tau = blowup_time - t
         assert abs(s.momentum - s.variance / (2.0 * tau)) < 1e-10 * (1.0 + s.variance)
 
@@ -80,8 +80,8 @@ def test_momentum_variance_relation_across_tau(grid1d):
 def test_conjugation_flips_momentum(grid1d):
     u = pseudo_conformal_field(grid1d, blowup_time=2.5)
     v = pseudo_conformal_field(grid1d, blowup_time=2.5, conjugate=True)
-    su = sample_diagnostics(u, gamma_now=-1.0, p=5.0)
-    sv = sample_diagnostics(v, gamma_now=-1.0, p=5.0)
+    su = sample_diagnostics(u, gamma_now=-1.0)
+    sv = sample_diagnostics(v, gamma_now=-1.0)
     assert abs(su.momentum + sv.momentum) < 1e-10 * (1.0 + abs(su.momentum))
     assert abs(su.variance - sv.variance) < 1e-12 * (1.0 + su.variance)
     assert abs(su.kinetic - sv.kinetic) < 1e-10 * (1.0 + su.kinetic)
@@ -89,34 +89,34 @@ def test_conjugation_flips_momentum(grid1d):
 
 def test_energy_is_affine_in_gamma(grid1d):
     u = pseudo_conformal_field(grid1d, blowup_time=1.5)
-    lo = sample_diagnostics(u, gamma_now=-1.0, p=5.0)
-    hi = sample_diagnostics(u, gamma_now=1.0, p=5.0)
+    lo = sample_diagnostics(u, gamma_now=-1.0)
+    hi = sample_diagnostics(u, gamma_now=1.0)
     assert abs((hi.energy - lo.energy) - hi.potential / 3.0) < 1e-12 * (1.0 + hi.potential)
     assert hi.kinetic == lo.kinetic
     assert hi.potential == lo.potential
 
 
-@pytest.mark.parametrize("p", [2.5, 3.0, 5.0])
-def test_chirped_gaussian_2d_closed_forms(p):
+def test_chirped_gaussian_2d_closed_forms():
     """u = A exp(-|x|^2/(2 s^2) + i b |x|^2) in the plane: mass = pi A^2 s^2,
-    I = pi A^2 s^4, P = 2 b I, kinetic = pi A^2 (1 + 4 b^2 s^4) and
-    potential = 2 pi A^(p+1) s^2 / (p+1), which is pi A^4 s^2 / 2 at p = 3."""
+    I = pi A^2 s^4, P = 2 b I, kinetic = pi A^2 (1 + 4 b^2 s^4) and, at the
+    planar critical power p = 3, potential = pi A^4 s^2 / 2 and energy =
+    kinetic/2 + gamma potential/4."""
     a, s, b = 1.2, 1.1, 0.3
     g = make_grid(2, half_width=8.0, n=64)
     r2 = g.meshes()[0] ** 2 + g.meshes()[1] ** 2
     u = ComplexField(g, a * np.exp(-r2 / (2 * s * s) + 1j * b * r2))
-    d = sample_diagnostics(u, gamma_now=-1.0, p=p)
+    d = sample_diagnostics(u, gamma_now=-1.0)
     variance = np.pi * a**2 * s**4
     exact = {
         "mass": np.pi * a**2 * s**2,
         "variance": variance,
         "momentum": 2 * b * variance,
         "kinetic": np.pi * a**2 * (1 + 4 * b**2 * s**4),
-        "potential": 2 * np.pi * a ** (p + 1) * s**2 / (p + 1),
+        "potential": np.pi * a**4 * s**2 / 2,
     }
     for name, value in exact.items():
         assert abs(getattr(d, name) - value) < 1e-13 * value, name
-    assert abs(d.energy - (0.5 * d.kinetic - d.potential / (p + 1))) < 1e-14 * d.kinetic
+    assert abs(d.energy - (0.5 * d.kinetic - d.potential / 4)) < 1e-14 * d.kinetic
     assert d.linf == pytest.approx(a, rel=1e-15)
 
 
@@ -133,9 +133,8 @@ def test_computed_and_supplied_derivatives_give_equal_samples(dim, n):
         d = np.fft.fft(v, axis=axis)
         d *= ik
         gradient.append(np.fft.ifft(d, axis=axis))
-    for p in (3.0, 5.0):
-        supplied = tuple(d.copy() for d in gradient)  # the sample uses them as scratch
-        assert sample_diagnostics(u, -1.0, p) == sample_diagnostics(u, -1.0, p, supplied)
+    supplied = tuple(d.copy() for d in gradient)  # the sample uses them as scratch
+    assert sample_diagnostics(u, -1.0) == sample_diagnostics(u, -1.0, supplied)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 16384), (2, 128)])
@@ -148,7 +147,7 @@ def test_variance_from_marginals_matches_the_radius_table(dim, n):
     v = u.values
     r2 = sum(x * x for x in g.meshes())
     want = float(_vdot(r2, v.real * v.real + v.imag * v.imag)) * g.cell_volume
-    got = sample_diagnostics(u, -1.0, 3.0).variance
+    got = sample_diagnostics(u, -1.0).variance
     if dim == 1:
         assert got == want
     else:
@@ -162,7 +161,7 @@ from mnls.lattice import ComplexField, make_grid
 g = make_grid(2, 8.0, 128)
 rng = np.random.default_rng(0)
 u = ComplexField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-print(repr(sample_diagnostics(u, -1.0, 3.0)))
+print(repr(sample_diagnostics(u, -1.0)))
 """
 
 

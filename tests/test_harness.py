@@ -95,6 +95,8 @@ def _tiny_config(**kw):
 def test_run_experiment_rejects_bad_model_kind(tmp_path):
     with pytest.raises(ConfigError):
         run_experiment(_tiny_config(model={"kind": "frob"}), tmp_path)
+    with pytest.raises(ConfigError, match="'p'"):  # the power is no key, even at its value
+        run_experiment(_tiny_config(model={"kind": "dm", "p": 5.0}), tmp_path)
 
 
 def test_run_experiment_rejects_nonpositive_dt(tmp_path):
@@ -203,7 +205,7 @@ def test_build_run_policy_defaults_and_unknown_keys():
 
 
 def test_backward_construction_evolves_the_run_model(monkeypatch):
-    """The auxiliary run must march the same power p as the forward run."""
+    """The auxiliary run marches the forward run's own model."""
     seen = []
 
     def recording_evolve(model, *args, **kwargs):
@@ -212,7 +214,7 @@ def test_backward_construction_evolves_the_run_model(monkeypatch):
 
     monkeypatch.setattr(mnls.constructor, "evolve", recording_evolve)
     cfg = resolve_config(_tiny_config(
-        model={"kind": "nm", "p": 3},
+        model={"kind": "nm"},
         profile={"kind": "backward_construction", "layer_index": 1, "blowup_time": 2.5},
     ))
     run = build_run(cfg)
@@ -220,7 +222,7 @@ def test_backward_construction_evolves_the_run_model(monkeypatch):
         initial_data(run, cfg["profile"])
     except BlowupDuringConstruction:
         pass
-    assert seen == [ModelSpec("nm", p=3.0)]
+    assert seen == [ModelSpec("nm")]
 
 
 def test_snapshot_round_trip_1d(tmp_path):
@@ -285,7 +287,7 @@ def test_series_csv_round_trip(tmp_path):
     g = make_grid(1, half_width=6 * np.pi, n=256)
     u = ground_state_1d(g)
     samples = SampleTable()
-    samples.append(sample_diagnostics(u, -1.0, 5.0))
+    samples.append(sample_diagnostics(u, -1.0))
     path = tmp_path / "series.csv"
     write_series_csv(path, samples)
     cols = read_series_csv(path)
@@ -421,7 +423,7 @@ def test_2d_evolve_holds_one_field_buffer():
     buffer the run made 0.39 fields, and with a sample that copied each
     strided column block for its dot products 0.52; at 128^2 a field-sized
     symbol, |x|^2 table and sample scratch made 5.03 fields, a copy of u0
-    and a separate |u|^(p-1) array 3.04, and a field-sized phase buffer
+    and a separate |u|^2 exponent array 3.04, and a field-sized phase buffer
     1.54 (1.14 at 256^2)."""
     g = make_grid(2, half_width=8.0, n=256)
     u0 = sech_profile_2d(g, 5.0, 0.86)

@@ -93,12 +93,8 @@ def test_pseudo_conformal_conjugate_flag(grid1d):
     assert np.array_equal(b.values, np.conj(a.values))
 
 
-def test_pseudo_conformal_shift_and_phase(grid1d):
+def test_pseudo_conformal_phase(grid1d):
     u0 = pseudo_conformal_field(grid1d, blowup_time=2.5)
-    shifted = pseudo_conformal_field(grid1d, blowup_time=2.5, x_shift=1.0)
-    x = grid1d.axis_coords()
-    ipk = int(np.argmax(np.abs(shifted.values)))
-    assert abs(x[ipk] - 1.0) < grid1d.dx / 2 + 1e-12
     rotated = pseudo_conformal_field(grid1d, blowup_time=2.5, phase=0.75)
     assert np.allclose(rotated.values, u0.values * np.exp(0.75j), atol=1e-14)
 
@@ -136,6 +132,9 @@ def test_field_from_record_unknown_kind(grid1d):
         field_from_record(grid1d, {"kind": "gaussian"})
     with pytest.raises(ConfigError):
         field_from_record(grid1d, {})
+    # a key that the kind's profile function does not take
+    with pytest.raises(ConfigError, match="x_shift"):
+        field_from_record(grid1d, {"kind": "pseudo_conformal", "blowup_time": 1.5, "x_shift": 0.0})
 
 
 @pytest.mark.parametrize("blowup_time", [0.0, -1.5, float("nan")])
@@ -146,7 +145,7 @@ def test_field_from_record_rejects_blowup_time_not_ahead(grid1d, blowup_time):
 
 @pytest.mark.parametrize("record", [
     {"kind": "pseudo_conformal", "blowup_time": 1.5, "omega": float("nan")},
-    {"kind": "pseudo_conformal", "blowup_time": 1.5, "x_shift": float("nan")},
+    {"kind": "pseudo_conformal", "blowup_time": 1.5, "omega": float("inf")},
     {"kind": "pseudo_conformal", "blowup_time": 1.5, "phase": float("inf")},
     {"kind": "scaled_ground_state", "scale": float("nan")},
     {"kind": "scaled_ground_state", "omega": float("nan")},

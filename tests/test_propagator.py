@@ -13,13 +13,11 @@ from mnls.propagator import BlowupPolicy, ModelSpec, evolve
 
 
 def test_model_spec_validation():
+    """A model is its kind alone: the power is always the mass-critical one."""
     with pytest.raises(ValueError):
         ModelSpec("cubic")
-    with pytest.raises(ValueError):
-        ModelSpec("dm", p=1.0)
-    assert ModelSpec("dm").resolve_p(1) == 5.0
-    assert ModelSpec("nm").resolve_p(2) == 3.0
-    assert ModelSpec("dm", p=3.0).resolve_p(1) == 3.0
+    with pytest.raises(TypeError):
+        ModelSpec("dm", p=5.0)
     assert ModelSpec("dm").layer_coefficients(-1.0) == (-1.0, 1.0)
     assert ModelSpec("nm").layer_coefficients(-1.0) == (1.0, -1.0)
 
@@ -50,17 +48,19 @@ def test_strang_step_pure_linear_phase():
 
 def test_strang_step_pure_nonlinear_phase():
     """The linear sweep leaves a constant field alone, so it rotates by
-    exactly exp(-i b |A|^(p-1) dt) for any layer coefficients (a, b)."""
-    g = make_grid(1, half_width=np.pi, n=32)
+    exactly exp(-i b |A|^(4/dim) dt) for any layer coefficients (a, b): the
+    quintic exponent in 1D, the cubic one (the half-angle kick) in 2D."""
     amp = 0.8 + 0.3j
-    u = ComplexField(g, np.full(g.shape, amp), 0.0)
     dt = 0.21
-    for kind in ("dm", "nm"):
-        for gamma in (0.4, 2.5):
-            _, b = ModelSpec(kind).layer_coefficients(-gamma)
-            out = _one_step(kind, gamma, u.copy(), dt)
-            expect = amp * np.exp(-1j * b * abs(amp) ** 4 * dt)
-            assert np.max(np.abs(out.values - expect)) < 1e-14
+    for dim, exponent in ((1, 4), (2, 2)):
+        g = make_grid(dim, half_width=np.pi, n=32)
+        u = ComplexField(g, np.full(g.shape, amp), 0.0)
+        for kind in ("dm", "nm"):
+            for gamma in (0.4, 2.5):
+                _, b = ModelSpec(kind).layer_coefficients(-gamma)
+                out = _one_step(kind, gamma, u.copy(), dt)
+                expect = amp * np.exp(-1j * b * abs(amp) ** exponent * dt)
+                assert np.max(np.abs(out.values - expect)) < 1e-14
 
 
 def test_strang_step_conserves_mass_per_step():
@@ -117,8 +117,9 @@ def test_layer_steps_tile_the_window(dm_run):
 
 
 def test_interface_event_energy_jump(dm_run):
-    """The energy jump across a switch is (g_after - g_before)/(p+1) * pot,
-    an arithmetic identity of the recorded numbers."""
+    """The energy jump across a switch is (g_after - g_before)/6 * pot in 1D
+    (p + 1 = 6 at the critical power), an arithmetic identity of the
+    recorded numbers."""
     log, _ = dm_run
     switches = [e for e in log.events if e["type"] == "layer_switch"]
     assert len(switches) == 1
@@ -223,12 +224,12 @@ def _check_paired_samples(monkeypatch) -> list[bool]:
     original = mnls.propagator.sample_diagnostics
     paired = []
 
-    def checked(u, gamma, p, gradient=None, *, scratch=None):
+    def checked(u, gamma, gradient=None, *, scratch=None):
         paired.append(gradient is not None)
         if gradient is None:
-            return original(u, gamma, p, scratch=scratch)
-        ref = original(u, gamma, p)
-        got = original(u, gamma, p, gradient)
+            return original(u, gamma, scratch=scratch)
+        ref = original(u, gamma)
+        got = original(u, gamma, gradient, scratch=scratch)
         assert got == ref
         return got
 
@@ -237,9 +238,8 @@ def _check_paired_samples(monkeypatch) -> list[bool]:
 
 
 @pytest.mark.parametrize("kind", ["dm", "nm"])
-@pytest.mark.parametrize("p", [5.0, 3.0])
 @pytest.mark.parametrize("every", [1, 3])
-def test_paired_gradients_are_exact(monkeypatch, kind, p, every):
+def test_paired_gradients_are_exact(monkeypatch, kind, every):
     """Every mid-layer sample in 1D takes its gradient from the batched
     transform that also sweeps the next step, and gets the same bits as the
     stand-alone gradient; the first sample and the layer ends do not pair."""
@@ -247,7 +247,7 @@ def test_paired_gradients_are_exact(monkeypatch, kind, p, every):
     g = make_grid(1, half_width=12 * np.pi, n=256)
     u0 = pseudo_conformal_field(g, blowup_time=1.5)
     layers = DispersionMap(epsilon=0.3).layer_partition(0.0, 1.0)  # three switches
-    log, _ = evolve(ModelSpec(kind, p), layers, u0, 1e-2, sample_every=every,
+    log, _ = evolve(ModelSpec(kind), layers, u0, 1e-2, sample_every=every,
                     policy=BlowupPolicy(amplitude_factor=50.0))
     assert log.completed and len(paired) == len(log.samples)
     assert sum(paired) == sum((ls["steps"] - 1) // every for ls in log.layer_steps) > 0
@@ -305,8 +305,8 @@ def test_samples_on_the_borrowed_phase_buffer_change_no_bit(monkeypatch):
     borrowed, final = run()
     original = mnls.propagator.sample_diagnostics
 
-    def own_scratch(u, gamma, p, gradient=None, *, scratch=None):
-        return original(u, gamma, p, gradient)
+    def own_scratch(u, gamma, gradient=None, *, scratch=None):
+        return original(u, gamma, gradient)
 
     monkeypatch.setattr(mnls.propagator, "sample_diagnostics", own_scratch)
     own, own_final = run()
@@ -336,7 +336,7 @@ def test_evolve_advances_the_field_it_is_given(grid1d):
                       policy=BlowupPolicy(amplitude_factor=2.3))
     assert log.status == "blowup" and out is u0 and np.shares_memory(out.values, values)
     assert out.time == log.t_detect == log.samples[-1].t
-    assert sample_diagnostics(out, -1.0, 5.0) == log.samples[-1]
+    assert sample_diagnostics(out, -1.0) == log.samples[-1]
     with pytest.raises(ValueError, match="layers start"):
         evolve(ModelSpec("dm"), focusing, u0, 5e-4)
 
@@ -379,18 +379,23 @@ def test_sampling_cadence(grid1d):
 
 
 @pytest.mark.parametrize("kind", ["dm", "nm"])
-@pytest.mark.parametrize("p", [None, 3.0, 2.5])
-def test_fused_kicks_change_no_result(kind, p):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fused_kicks_change_no_result(kind, dim):
     """Between samples the trailing and leading half-kicks are applied as one
     full kick; sparse sampling must match sampling every step to rounding on
-    every common sample and on the final field (p = 5, 3 and 2.5 take the
-    square, identity and general-power exponent paths)."""
-    g = make_grid(1, half_width=12 * np.pi, n=256)
-    u0 = pseudo_conformal_field(g, blowup_time=1.5)
+    every common sample and on the final field, with the 1D kick (cos and
+    sin of the quintic exponent) and the 2D one (the half-angle factor of
+    the cubic exponent, on half-block units)."""
+    if dim == 1:
+        g = make_grid(1, half_width=12 * np.pi, n=256)
+        u0 = pseudo_conformal_field(g, blowup_time=1.5)
+    else:
+        g = make_grid(2, half_width=8.0, n=64)
+        u0 = sech_profile_2d(g, 1.5, 1.0)
     layers = DispersionMap(epsilon=0.3).layer_partition(0.0, 1.6)  # five switches
     policy = BlowupPolicy(amplitude_factor=50.0)
     (dense, f1), (sparse, f7) = (
-        evolve(ModelSpec(kind, p), layers, u0.copy(), 1e-2, sample_every=k, policy=policy)
+        evolve(ModelSpec(kind), layers, u0.copy(), 1e-2, sample_every=k, policy=policy)
         for k in (1, 7)
     )
     assert dense.completed and sparse.completed
@@ -429,7 +434,7 @@ def test_2d_halt_in_a_later_block_turns_the_kicked_blocks_back():
     assert log.t_detect == out.time == 0.068 and trip["t_violation"] == 0.07
     assert trip["value"] > policy.cap_for(u0.linf())
     assert np.argmax(np.abs(out.values)) // g.n >= 2 * g.block_shape[0]
-    assert sample_diagnostics(out, -1.0, 3.0) == log.samples[-1]
+    assert sample_diagnostics(out, -1.0) == log.samples[-1]
     ref = _march_to(model, focusing, u0, log.t_detect, dt)
     assert np.max(np.abs(out.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
 
@@ -479,13 +484,13 @@ def test_tangent_factor_matches_cos_and_sin():
     cos theta and sin theta, and the sine within 4 of its own ulp."""
     g = make_grid(2, half_width=8.0, n=256)
     u = np.ones((g.n, g.n), dtype=np.complex128)
-    st = mnls.propagator._Stepper(u, 3.0, g.laplacian_symbol(), g.block_shape)
+    st = mnls.propagator._Stepper(u, g.laplacian_symbol(), g.block_shape)
     unit = st.units[0]
     theta = np.linspace(-60.0, 60.0, unit.size)
     odd = (2 * np.arange(-10, 10) + 1) * np.pi
     tiny = [5e-324, -1e-300, 1e-20, -1e-12, 1e-8, 0.0]
     theta[:len(odd) + len(tiny)] = [*odd, *tiny]
-    st.nl[:] = theta  # |u|^2, which is |u|^(p-1) at p = 3
+    st.nl[:] = theta  # |u|^2, which is the 2D exponent
     st._rotate(unit, -1.0)  # the unit becomes exp(-i coeff |u|^2) = exp(i theta)
     eps = np.finfo(np.float64).eps
     assert np.max(np.abs(unit.real - np.cos(theta))) <= 4 * eps

@@ -211,9 +211,9 @@ _bad_model = st.one_of(
     _not_a_record,
     st.just({}),
     st.builds(lambda k: {"kind": k}, st.text(max_size=4).filter(lambda k: k not in ("dm", "nm"))),
-    st.builds(lambda p: {"kind": "nm", "p": p},
-              st.one_of(_words, st.floats(max_value=1.0))),
-    st.builds(lambda k: {"kind": "nm", k: 3.0}, _words.filter(lambda k: k not in ("kind", "p"))),
+    # the power is always the mass-critical one: `p` is refused at any value
+    st.builds(lambda p: {"kind": "nm", "p": p}, st.one_of(_words, st.floats())),
+    st.builds(lambda k: {"kind": "nm", k: 3.0}, _words.filter(lambda k: k != "kind")),
 )
 _bad_map = st.one_of(
     _not_a_record,
@@ -240,10 +240,10 @@ _GOOD_PROFILES = (
     {"kind": "scaled_ground_state"},
     {"kind": "backward_construction", "layer_index": 1, "blowup_time": 2.5},
 )
-_PROFILE_KEYS = ("kind", "blowup_time", "omega", "x_shift", "phase", "conjugate", "scale",
-                 "amplitude", "width", "layer_index")
+_PROFILE_KEYS = ("kind", "blowup_time", "omega", "phase", "conjugate", "scale", "amplitude",
+                 "width", "layer_index")
 # (record, key) pairs whose value is a float parameter of the profile
-_FLOAT_PARAMS = [(_GOOD_PROFILES[0], k) for k in ("omega", "x_shift", "phase")] + [
+_FLOAT_PARAMS = [(_GOOD_PROFILES[0], k) for k in ("omega", "phase")] + [
     (_GOOD_PROFILES[1], k) for k in ("omega", "scale")] + [(_GOOD_PROFILES[2], "omega")]
 _bad_profile = st.one_of(
     _not_a_record,
@@ -327,6 +327,8 @@ def test_valid_config_runs():
 @example(("profile", {"kind": "scaled_ground_state", "omgea": 2.0}))
 @example(("profile", {"kind": "pseudo_conformal", "blowup_time": 1.5, "t": 0.5}))
 @example(("model", {"kind": "dm", "pp": 3}))
+@example(("model", {"kind": "dm", "p": 5.0}))
+@example(("profile", {"kind": "pseudo_conformal", "blowup_time": 1.5, "x_shift": 0.0}))
 @example(("grid", {**VALID["grid"], "nn": 128}))
 @example(("grid", {**VALID["grid"], "n": 1024.7}))
 @example(("grid", {**VALID["grid"], "dim": 1.9}))
